@@ -18,7 +18,11 @@ import (
 	"repro/internal/timing"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command's body; it returns the exit status so that deferred
+// profile writers run before the process exits.
+func run() int {
 	kernel := flag.String("kernel", "", "entry name to launch (default: first kernel of the file)")
 	grid := flag.String("grid", "1,1,1", "grid dimensions x,y,z")
 	block := flag.String("block", "32,1,1", "block dimensions x,y,z")
@@ -39,6 +43,8 @@ func main() {
 	serveDecode := flag.Bool("decode", false, "with -workload serve: generate a decode trace (-prompt prefill, -gen decode tokens per request) instead of encoder requests; KV-cache bytes gate admission")
 	steps := flag.Int("steps", 4, "with -workload train: training steps to run")
 	devices := flag.Int("devices", 1, "with -workload train or transformer: simulate N GPUs as one node (data-parallel training / tensor-parallel inference over a modelled NVLink fabric); -j host workers step the devices concurrently")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to FILE")
+	memProfile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to FILE when the run ends")
 	flag.Parse()
 
 	// Most workload flags have non-zero defaults, so a value comparison
@@ -49,8 +55,14 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	if err := validateFlagCombos(*workload, *serveDecode, *devices, setFlags); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer stopProfiles()
 
 	if *workload != "" {
 		opts := workloadOpts{
@@ -61,44 +73,44 @@ func main() {
 		}
 		if err := runWorkloadFlag(*workload, opts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *replay || *resample != 0 {
 		fmt.Fprintln(os.Stderr, "-replay/-replay-resample need -workload transformer (replay pays off on repeated launches, not a single PTX run)")
-		os.Exit(2)
+		return 2
 	}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: gpgpusim [flags] file.ptx  (or -workload transformer)")
-		os.Exit(2)
+		return 2
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	ctx := cudart.NewContext(exec.BugSet{})
 	mod, err := ctx.RegisterModule(string(src))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "parse:", err)
-		os.Exit(1)
+		return 1
 	}
 	name := *kernel
 	if name == "" {
 		names := mod.KernelNames()
 		if len(names) == 0 {
 			fmt.Fprintln(os.Stderr, "no kernels in module")
-			os.Exit(1)
+			return 1
 		}
 		name = names[0]
 	}
 
 	if *streams > 1 && !*perf {
 		fmt.Fprintln(os.Stderr, "-streams needs -perf (concurrent streams run in the detailed model)")
-		os.Exit(2)
+		return 2
 	}
 
 	if *streams > 1 {
@@ -110,12 +122,12 @@ func main() {
 		conc, log, cctx, bufs, bufLens, err := runStreamWorkload(string(src), name, *grid, *block, *args, *workers, *streams, true)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		serial, _, _, _, _, err := runStreamWorkload(string(src), name, *grid, *block, *args, *workers, *streams, false)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		var instrs uint64
 		for _, k := range log {
@@ -126,14 +138,14 @@ func main() {
 		fmt.Printf("%d streams: %d total cycles concurrent vs %d serialized (overlap speedup %.2fx), IPC %.2f\n",
 			*streams, conc, serial, float64(serial)/float64(conc), float64(instrs)/float64(conc))
 		dumpBufs(cctx, bufs, bufLens, *dump)
-		return
+		return 0
 	}
 
 	if *perf {
 		eng, err := timing.New(timing.GTX1050(), timing.WithWorkers(*workers))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		ctx.SetRunner(timing.Runner{E: eng})
 	}
@@ -142,7 +154,7 @@ func main() {
 	st, err := ctx.Launch(name, parseDim(*grid), parseDim(*block), p, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "launch:", err)
-		os.Exit(1)
+		return 1
 	}
 	mode := "functional"
 	if *perf {
@@ -155,6 +167,7 @@ func main() {
 	}
 	fmt.Println()
 	dumpBufs(ctx, bufs, bufLens, *dump)
+	return 0
 }
 
 // workloadOpts carries the flags a -workload built-in may consume.

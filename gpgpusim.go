@@ -20,7 +20,8 @@
 //   - DebugTool: the §III-D functional-debug methodology.
 //   - CheckpointCapture / CheckpointResume: the §III-F flow.
 //
-// See README.md for a quickstart and DESIGN.md for the system inventory.
+// See README.md for a quickstart, and its "Architecture" and "Workloads"
+// sections for the system inventory.
 package gpgpusim
 
 import (

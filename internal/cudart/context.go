@@ -23,8 +23,6 @@ import (
 type KernelStats struct {
 	Name       string
 	LaunchID   int
-	GridDim    exec.Dim3
-	BlockDim   exec.Dim3
 	Cycles     uint64 // 0 in functional mode
 	WarpInstrs uint64
 
@@ -98,7 +96,7 @@ func (FunctionalRunner) RunKernel(g *exec.Grid) (KernelStats, error) {
 		return KernelStats{}, err
 	}
 	return KernelStats{
-		Name: g.Kernel.Name, GridDim: g.GridDim, BlockDim: g.BlockDim,
+		Name:       g.Kernel.Name,
 		WarpInstrs: m.Coverage().Total() - before,
 	}, nil
 }

@@ -107,7 +107,7 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 		}
 		id := c.launchCount
 		c.launchCount++
-		ph := KernelStats{Name: k.Name, LaunchID: id, GridDim: grid, BlockDim: block}
+		ph := KernelStats{Name: k.Name, LaunchID: id}
 		c.kernelStats = append(c.kernelStats, ph)
 		c.pending = append(c.pending, pendingLaunch{ticket: tk, logIdx: len(c.kernelStats) - 1, stream: s})
 		return ph, nil
@@ -142,8 +142,6 @@ func (c *Context) launch(s Stream, mod *ptx.Module, k *ptx.Kernel, grid, block e
 	}
 	stats.Name = k.Name
 	stats.LaunchID = id
-	stats.GridDim = grid
-	stats.BlockDim = block
 	c.kernelStats = append(c.kernelStats, stats)
 	if rec != nil {
 		rec.Stats = stats

@@ -36,6 +36,9 @@ func InLocalWindow(addr uint64) bool {
 const pageBits = 12
 const pageSize = 1 << pageBits
 
+// PageSize is the granularity of the memory image's page directory.
+const PageSize = pageSize
+
 // Memory is a sparse, page-backed global memory image.
 //
 // The page *directory* (the map from page number to backing slice) is
@@ -74,6 +77,14 @@ func (m *Memory) page(pn uint64, create bool) []byte {
 	m.mu.Unlock()
 	return p
 }
+
+// Page returns the backing bytes of page pn (the address divided by
+// PageSize), faulting it in when create is set; without create a page
+// never written reads as nil. Page contents are unguarded, exactly as
+// for Read and Write. The returned slice is the live page only until the
+// next Restore, which replaces every page: callers may keep it for the
+// duration of one operation, never across launches.
+func (m *Memory) Page(pn uint64, create bool) []byte { return m.page(pn, create) }
 
 // Read copies len(buf) bytes starting at addr into buf. Unwritten memory
 // reads as zero.

@@ -88,7 +88,11 @@ func (m *Machine) evalALU(in *ptx.Instr, s [4]uint64) (uint64, error) {
 	case ptx.OpDiv:
 		r, err = divOp(in, t, s[0], s[1])
 	case ptx.OpRem:
-		r, err = m.remOp(in, t, s[0], s[1])
+		if m.cfg.Bugs.RemU64 {
+			r = remU64(s[0], s[1])
+		} else {
+			r, err = remOp(in, t, s[0], s[1])
+		}
 	case ptx.OpAbs:
 		r, err = absOp(in, t, s[0])
 	case ptx.OpNeg:
@@ -161,7 +165,7 @@ func (m *Machine) evalALU(in *ptx.Instr, s [4]uint64) (uint64, error) {
 			r = uint64(bits.Reverse32(uint32(s[0])))
 		}
 	case ptx.OpBfe:
-		r = m.bfeOp(t, s[0], s[1], s[2])
+		r = bfeOp(t, s[0], s[1], s[2], !m.cfg.Bugs.BFESigned)
 	case ptx.OpBfi:
 		r = bfiOp(t, s[0], s[1], s[2], s[3])
 	case ptx.OpPopc:
@@ -324,23 +328,30 @@ func divOp(in *ptx.Instr, t ptx.Type, a, b uint64) (uint64, error) {
 		case 8:
 			return a / b, nil
 		default:
+			if uint32(b) == 0 {
+				// a nonzero register whose low half is zero: the
+				// 32-bit divisor is zero all the same
+				return truncToType(^uint64(0), t), nil
+			}
 			return truncToType(uint64(uint32(a)/uint32(b)), t), nil
 		}
 	}
 	return 0, aluError(in, "bad type %v for div", t)
 }
 
-// remOp implements the remainder instruction. With Bugs.RemU64 set it
-// reproduces GPGPU-Sim's original "data.u64 = src1.u64 % src2.u64"
-// implementation that the paper's debug flow tracked down inside
-// fft2d_r2c_32x32 (§III-D); otherwise it switches on the type specifier.
-func (m *Machine) remOp(in *ptx.Instr, t ptx.Type, a, b uint64) (uint64, error) {
-	if m.cfg.Bugs.RemU64 {
-		if b == 0 {
-			return ^uint64(0), nil
-		}
-		return a % b, nil // type-oblivious: the injected bug
+// remU64 is the remainder with Bugs.RemU64 set: GPGPU-Sim's original
+// "data.u64 = src1.u64 % src2.u64" implementation that the paper's debug
+// flow tracked down inside fft2d_r2c_32x32 (§III-D).
+func remU64(a, b uint64) uint64 {
+	if b == 0 {
+		return ^uint64(0)
 	}
+	return a % b // type-oblivious: the injected bug
+}
+
+// remOp implements the remainder instruction, switching on the type
+// specifier.
+func remOp(in *ptx.Instr, t ptx.Type, a, b uint64) (uint64, error) {
 	switch {
 	case t == ptx.F32:
 		return f32bits(float32(math.Mod(float64(bitsF32(a)), float64(bitsF32(b))))), nil
@@ -353,6 +364,9 @@ func (m *Machine) remOp(in *ptx.Instr, t ptx.Type, a, b uint64) (uint64, error) 
 			case 8:
 				return uint64(int64(a) % int64(b)), nil
 			default:
+				if int32(b) == 0 {
+					return truncToType(^uint64(0), t), nil
+				}
 				return truncToType(uint64(int64(int32(a))%int64(int32(b))), t), nil
 			}
 		}
@@ -360,6 +374,9 @@ func (m *Machine) remOp(in *ptx.Instr, t ptx.Type, a, b uint64) (uint64, error) 
 		case 8:
 			return a % b, nil
 		default:
+			if uint32(b) == 0 {
+				return truncToType(^uint64(0), t), nil
+			}
 			return truncToType(uint64(uint32(a)%uint32(b)), t), nil
 		}
 	}
@@ -476,10 +493,11 @@ func shiftOp(t ptx.Type, a, b uint64, left bool) uint64 {
 	return truncToType(a, t) >> sh
 }
 
-// bfeOp implements bit-field extract per the PTX spec. With Bugs.BFESigned
-// set, signed extraction skips sign extension, reproducing the subtle
-// signed-input errors the paper found via differential coverage analysis.
-func (m *Machine) bfeOp(t ptx.Type, a, b, c uint64) uint64 {
+// bfeOp implements bit-field extract per the PTX spec. signExt is false
+// under Bugs.BFESigned: signed extraction then skips sign extension,
+// reproducing the subtle signed-input errors the paper found via
+// differential coverage analysis.
+func bfeOp(t ptx.Type, a, b, c uint64, signExt bool) uint64 {
 	pos := b & 0xFF
 	length := c & 0xFF
 	width := uint64(t.Size()) * 8
@@ -493,7 +511,7 @@ func (m *Machine) bfeOp(t ptx.Type, a, b, c uint64) uint64 {
 	if length > 0 && pos < width {
 		field = (a >> pos) & (^uint64(0) >> (64 - length))
 	}
-	if t.Signed() && !m.cfg.Bugs.BFESigned && length > 0 && length < 64 {
+	if t.Signed() && signExt && length > 0 && length < 64 {
 		// Sign bit of the extracted field: bit min(pos+len-1, width-1) of a.
 		sb := pos + length - 1
 		if sb > width-1 {

@@ -424,3 +424,20 @@ func TestFP16FMAContractionMismatch(t *testing.T) {
 	}
 	t.Logf("FP16 mul+add vs fma mismatches: %d/%d", mismatches, total)
 }
+
+// TestDivRemHighBitsOnlyDivisor: a 32-bit div/rem whose divisor register
+// is nonzero only above bit 31 divides by zero, which yields all-ones
+// (as for a zero register) instead of panicking. The warp-wide ALU
+// evaluates inactive lanes too, so any register value must be safe.
+func TestDivRemHighBitsOnlyDivisor(t *testing.T) {
+	m := cleanMachine()
+	for _, c := range []struct {
+		op  ptx.Op
+		typ ptx.Type
+	}{{ptx.OpDiv, ptx.U32}, {ptx.OpRem, ptx.U32}, {ptx.OpRem, ptx.S32}} {
+		want := truncToType(^uint64(0), c.typ)
+		if got := evalBin(t, m, c.op, c.typ, 7, 1<<32); got != want {
+			t.Errorf("%v.%v 7 / 1<<32 = %#x, want %#x", c.op, c.typ, got, want)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"repro/internal/ptx"
 )
 
@@ -16,23 +14,43 @@ type CovKey struct {
 	T  ptx.Type
 }
 
-// Coverage counts executed instructions per implementation path.
+// numCovTypes is the number of type specifiers, TypeNone included.
+const numCovTypes = int(ptx.Pred) + 1
+
+// Coverage counts executed instructions per implementation path, in a
+// dense [op][type] table indexed in CovKey order.
 type Coverage struct {
-	counts map[CovKey]uint64
+	counts []uint64
 }
 
 // NewCoverage returns empty coverage.
 func NewCoverage() *Coverage {
-	return &Coverage{counts: make(map[CovKey]uint64)}
+	return &Coverage{counts: make([]uint64, ptx.NumOps()*numCovTypes)}
+}
+
+// index returns k's slot in the table, or -1 for a key outside it.
+func (c *Coverage) index(k CovKey) int {
+	i := int(k.Op)*numCovTypes + int(k.T)
+	if int(k.T) >= numCovTypes || i >= len(c.counts) {
+		return -1
+	}
+	return i
 }
 
 // Note records one executed warp instruction.
 func (c *Coverage) Note(in *ptx.Instr, mask uint32) {
-	c.counts[CovKey{Op: in.Op, T: in.T}]++
+	if i := c.index(CovKey{Op: in.Op, T: in.T}); i >= 0 {
+		c.counts[i]++
+	}
 }
 
 // Count returns the execution count of one path.
-func (c *Coverage) Count(k CovKey) uint64 { return c.counts[k] }
+func (c *Coverage) Count(k CovKey) uint64 {
+	if i := c.index(k); i >= 0 {
+		return c.counts[i]
+	}
+	return 0
+}
 
 // Total returns the total executed warp-instruction count.
 func (c *Coverage) Total() uint64 {
@@ -45,16 +63,12 @@ func (c *Coverage) Total() uint64 {
 
 // Keys returns all exercised paths, deterministically ordered.
 func (c *Coverage) Keys() []CovKey {
-	out := make([]CovKey, 0, len(c.counts))
-	for k := range c.counts {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
+	var out []CovKey
+	for i, v := range c.counts {
+		if v != 0 {
+			out = append(out, CovKey{Op: ptx.Op(i / numCovTypes), T: ptx.Type(i % numCovTypes)})
 		}
-		return out[i].T < out[j].T
-	})
+	}
 	return out
 }
 
@@ -64,7 +78,7 @@ func (c *Coverage) Keys() []CovKey {
 func (c *Coverage) Diff(base *Coverage) []CovKey {
 	var out []CovKey
 	for _, k := range c.Keys() {
-		if base.counts[k] == 0 {
+		if base.Count(k) == 0 {
 			out = append(out, k)
 		}
 	}
@@ -73,12 +87,12 @@ func (c *Coverage) Diff(base *Coverage) []CovKey {
 
 // Merge adds other's counts into c.
 func (c *Coverage) Merge(other *Coverage) {
-	for k, v := range other.counts {
-		c.counts[k] += v
+	for i, v := range other.counts {
+		c.counts[i] += v
 	}
 }
 
 // Reset clears all counters.
 func (c *Coverage) Reset() {
-	c.counts = make(map[CovKey]uint64)
+	clear(c.counts)
 }

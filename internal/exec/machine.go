@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/ptx"
@@ -47,12 +48,29 @@ type Machine struct {
 
 	cov *Coverage
 	rec *memRecorder // non-nil only inside CaptureGrid (memo.go)
+
+	progMu sync.Mutex
+	progs  map[*ptx.Kernel]*program // decoded kernels (decode.go)
+
+	regs   bufPool[uint64] // released warp register files (ReleaseCTA)
+	shared bufPool[byte]   // released shared memory
 }
+
+// Bounds on the bytes of released register files and shared memory a
+// machine keeps for reuse.
+const (
+	regPoolBytes    = 1 << 20
+	sharedPoolBytes = 256 << 10
+)
 
 // NewMachine creates a functional machine over the given memory image and
 // texture registry (either may be shared with a runtime context).
 func NewMachine(cfg Config, mem *device.Memory, tex *device.TextureRegistry) *Machine {
-	return &Machine{cfg: cfg, Mem: mem, Tex: tex, cov: NewCoverage()}
+	return &Machine{
+		cfg: cfg, Mem: mem, Tex: tex, cov: NewCoverage(), progs: map[*ptx.Kernel]*program{},
+		regs:   bufPool[uint64]{limit: regPoolBytes / 8},
+		shared: bufPool[byte]{limit: sharedPoolBytes},
+	}
 }
 
 // Coverage returns the machine's instruction-implementation coverage
@@ -71,10 +89,13 @@ type Grid struct {
 	SharedDyn int // dynamic shared memory bytes (third launch parameter)
 
 	machine *Machine
+	prog    *program // the kernel decoded by machine
 }
 
 // NewGrid prepares a launch. The parameter buffer must match the kernel's
-// parameter layout (see cudart for the marshalling helpers).
+// parameter layout (see cudart for the marshalling helpers). Every launch
+// goes through here, so this is where a kernel is decoded, once per
+// machine, on its first launch (decode.go).
 func (m *Machine) NewGrid(k *ptx.Kernel, gridDim, blockDim Dim3, params []byte, sharedDyn int) (*Grid, error) {
 	if k == nil {
 		return nil, fmt.Errorf("exec: nil kernel")
@@ -88,7 +109,7 @@ func (m *Machine) NewGrid(k *ptx.Kernel, gridDim, blockDim Dim3, params []byte, 
 	}
 	return &Grid{
 		Kernel: k, GridDim: gridDim, BlockDim: blockDim,
-		Params: params, SharedDyn: sharedDyn, machine: m,
+		Params: params, SharedDyn: sharedDyn, machine: m, prog: m.program(k),
 	}, nil
 }
 
@@ -142,12 +163,12 @@ func (g *Grid) InitCTA(i int) *CTA {
 	k := g.Kernel
 	nThreads := g.BlockDim.Count()
 	nWarps := g.NumWarpsPerCTA()
-	cta := &CTA{Grid: g, Index: i, Shared: make([]byte, g.SharedBytes())}
+	cta := &CTA{Grid: g, Index: i, Shared: g.machine.shared.get(g.SharedBytes())}
 	for w := 0; w < nWarps; w++ {
 		warp := &Warp{
 			ID:    w,
 			Stack: make([]StackEntry, 1, 4),
-			Regs:  make([]uint64, k.NumSlots*WarpSize),
+			Regs:  g.machine.regs.get(k.NumSlots * WarpSize),
 		}
 		var mask uint32
 		for l := 0; l < WarpSize; l++ {
@@ -170,6 +191,64 @@ func (g *Grid) InitCTA(i int) *CTA {
 	return cta
 }
 
+// ReleaseCTA hands a retired CTA's register files and shared memory back
+// to the machine, for a later InitCTA to reuse. The caller must hold no
+// other reference to c's state: its warps lose their registers and c its
+// shared memory.
+func (g *Grid) ReleaseCTA(c *CTA) {
+	for _, w := range c.Warps {
+		if w.Regs != nil {
+			g.machine.regs.put(w.Regs)
+			w.Regs = nil
+		}
+	}
+	if c.Shared != nil {
+		g.machine.shared.put(c.Shared)
+		c.Shared = nil
+	}
+}
+
+// bufPool keeps released buffers for reuse, grouped by length, up to a
+// bound on the elements it holds. A block's register files are most of
+// what a launch allocates, and kernels relaunch with the same shapes, so
+// reuse spares the allocator and the collector most of that churn; the
+// bound keeps what a pool retains between launches small.
+type bufPool[T uint64 | byte] struct {
+	mu    sync.Mutex
+	free  map[int][][]T
+	held  int // elements held
+	limit int // most elements held
+}
+
+// get returns a zeroed buffer of length n.
+func (p *bufPool[T]) get(n int) []T {
+	p.mu.Lock()
+	if l := p.free[n]; len(l) > 0 {
+		b := l[len(l)-1]
+		p.free[n] = l[:len(l)-1]
+		p.held -= n
+		p.mu.Unlock()
+		clear(b)
+		return b
+	}
+	p.mu.Unlock()
+	return make([]T, n)
+}
+
+// put offers b for reuse; past the bound it is left to the collector.
+func (p *bufPool[T]) put(b []T) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.held+len(b) > p.limit {
+		return
+	}
+	if p.free == nil {
+		p.free = map[int][][]T{}
+	}
+	p.free[len(b)] = append(p.free[len(b)], b)
+	p.held += len(b)
+}
+
 // Done reports whether every warp of the CTA has retired.
 func (c *CTA) Done() bool {
 	for _, w := range c.Warps {
@@ -186,11 +265,18 @@ func (w *Warp) Reg(slot, lane int) uint64 { return w.Regs[slot*WarpSize+lane] }
 // SetReg writes a register slot for one lane.
 func (w *Warp) SetReg(slot, lane int, v uint64) { w.Regs[slot*WarpSize+lane] = v }
 
+// row returns one register slot across all lanes.
+func (w *Warp) row(slot int) *vec {
+	return (*vec)(w.Regs[slot*WarpSize : (slot+1)*WarpSize])
+}
+
 // StepInfo describes one executed warp instruction; the timing model turns
-// this into pipeline and memory-system events.
+// this into pipeline and memory-system events. StepWarpCov fills it in
+// place and resets every field but Addrs: Addrs[l] is meaningful only for
+// the lanes of ActiveMask of a memory instruction.
 type StepInfo struct {
 	PC         int
-	Instr      *ptx.Instr
+	Inst       *Inst // nil when the step retired the warp without executing
 	ActiveMask uint32
 	IsMem      bool
 	IsStore    bool
@@ -202,10 +288,17 @@ type StepInfo struct {
 	WarpDone   bool
 }
 
+func (s *StepInfo) reset() {
+	s.PC, s.Inst, s.ActiveMask = 0, nil, 0
+	s.IsMem, s.IsStore, s.IsAtomic = false, false, false
+	s.Space, s.AccSize = ptx.SpaceNone, 0
+	s.Barrier, s.WarpDone = false, false
+}
+
 // linearThread returns the linear thread id of (warp, lane).
 func linearThread(w *Warp, lane int) int { return w.ID*WarpSize + lane }
 
-func (m *Machine) sregValue(c *CTA, w *Warp, lane int, s ptx.SReg) uint64 {
+func sregValue(c *CTA, w *Warp, lane int, s ptx.SReg) uint64 {
 	g := c.Grid
 	bx, by := g.BlockDim.X, g.BlockDim.Y
 	if bx == 0 {
@@ -284,37 +377,6 @@ func immValue(o *ptx.Operand, t ptx.Type) uint64 {
 	}
 }
 
-// symAddress resolves a bare symbol operand (shared/local variable name)
-// to its windowed generic address.
-func (m *Machine) symAddress(k *ptx.Kernel, sym string) (uint64, error) {
-	for _, v := range k.SharedVars {
-		if v.Name == sym {
-			return device.SharedWindowBase + uint64(v.Offset), nil
-		}
-	}
-	for _, v := range k.LocalVars {
-		if v.Name == sym {
-			return device.LocalWindowBase + uint64(v.Offset), nil
-		}
-	}
-	return 0, fmt.Errorf("exec: unknown symbol %q in kernel %s", sym, k.Name)
-}
-
-// readOperand fetches one scalar source operand for a lane.
-func (m *Machine) readOperand(c *CTA, w *Warp, lane int, o *ptx.Operand, t ptx.Type) (uint64, error) {
-	switch o.Kind {
-	case ptx.OperandReg:
-		return w.Reg(o.Reg, lane), nil
-	case ptx.OperandSReg:
-		return m.sregValue(c, w, lane, o.SReg), nil
-	case ptx.OperandImm:
-		return immValue(o, t), nil
-	case ptx.OperandSym:
-		return m.symAddress(c.Grid.Kernel, o.Sym)
-	}
-	return 0, fmt.Errorf("exec: unsupported source operand kind %d", o.Kind)
-}
-
 // classifySpace resolves the effective space of a generic address.
 func classifySpace(space ptx.Space, addr uint64) ptx.Space {
 	if space != ptx.SpaceGeneric && space != ptx.SpaceNone {
@@ -330,50 +392,112 @@ func classifySpace(space ptx.Space, addr uint64) ptx.Space {
 	}
 }
 
-func (m *Machine) loadBytes(c *CTA, w *Warp, lane int, space ptx.Space, addr uint64, buf []byte) error {
-	switch classifySpace(space, addr) {
+// pageCacheSize bounds the distinct pages one instruction remembers; a
+// warp's lanes rarely touch more than two.
+const pageCacheSize = 8
+
+// pageCache is one warp instruction's memo of the global pages it has
+// touched, so the instruction takes the page directory's lock once per
+// distinct page (up to pageCacheSize of them) rather than once per lane.
+// It lives on the stack of one runLoad/runStore call and never outlives
+// the instruction: Memory.Restore replaces the page directory between
+// launches, and a cached page would then point at dead memory. A load's
+// cache may hold a non-resident (nil) page; that is sound because a load
+// instruction never creates pages. Atomics, whose lanes read pages that
+// earlier lanes may just have created, pass no cache.
+type pageCache struct {
+	n     int
+	pns   [pageCacheSize]uint64
+	pages [pageCacheSize][]byte
+}
+
+// get returns the page holding [addr, addr+n) and addr's offset in it, or
+// ok=false when the span crosses a page boundary or pc is nil.
+func (pc *pageCache) get(mem *device.Memory, addr uint64, n int, create bool) (page []byte, off int, ok bool) {
+	off = int(addr & (device.PageSize - 1))
+	if pc == nil || off+n > device.PageSize {
+		return nil, 0, false
+	}
+	pn := addr / device.PageSize
+	for i := 0; i < pc.n; i++ {
+		if pc.pns[i] == pn {
+			return pc.pages[i], off, true
+		}
+	}
+	page = mem.Page(pn, create)
+	if pc.n < pageCacheSize {
+		pc.pns[pc.n], pc.pages[pc.n] = pn, page
+		pc.n++
+	}
+	return page, off, true
+}
+
+// loadView returns the len(buf) bytes at addr in space (already
+// classified, see classifySpace): a view of the backing memory when the
+// bytes are contiguous there, else buf filled with a copy. pc, when
+// non-nil, caches global pages. The view is valid until the next store.
+func (m *Machine) loadView(c *CTA, w *Warp, lane int, space ptx.Space, addr uint64, buf []byte, pc *pageCache) ([]byte, error) {
+	n := len(buf)
+	switch space {
 	case ptx.SpaceShared:
 		off := addr
 		if device.InSharedWindow(addr) {
 			off = addr - device.SharedWindowBase
 		}
-		if int(off)+len(buf) > len(c.Shared) {
-			return fmt.Errorf("exec: shared load out of bounds: off %d size %d (smem %d)", off, len(buf), len(c.Shared))
+		if off > uint64(len(c.Shared)) || int(off)+n > len(c.Shared) {
+			return nil, fmt.Errorf("exec: shared load out of bounds: off %d size %d (smem %d)", off, n, len(c.Shared))
 		}
-		copy(buf, c.Shared[off:])
+		return c.Shared[off : int(off)+n], nil
 	case ptx.SpaceLocal:
 		off := addr
 		if device.InLocalWindow(addr) {
 			off = addr - device.LocalWindowBase
 		}
-		lm := w.Locals[lane]
-		if int(off)+len(buf) > len(lm) {
-			return fmt.Errorf("exec: local load out of bounds: off %d size %d (lmem %d)", off, len(buf), len(lm))
+		lm := w.localMem(lane)
+		if off > uint64(len(lm)) || int(off)+n > len(lm) {
+			return nil, fmt.Errorf("exec: local load out of bounds: off %d size %d (lmem %d)", off, n, len(lm))
 		}
-		copy(buf, lm[off:])
+		return lm[off : int(off)+n], nil
 	case ptx.SpaceParam:
 		p := c.Grid.Params
-		if int(addr)+len(buf) > len(p) {
-			return fmt.Errorf("exec: param load out of bounds: off %d size %d (params %d)", addr, len(buf), len(p))
+		if addr > uint64(len(p)) || int(addr)+n > len(p) {
+			return nil, fmt.Errorf("exec: param load out of bounds: off %d size %d (params %d)", addr, n, len(p))
 		}
-		copy(buf, p[addr:])
-	default: // global, const
-		m.Mem.Read(addr, buf)
-		if m.rec != nil {
-			m.rec.recordRead(addr, buf)
-		}
+		return p[addr : int(addr)+n], nil
 	}
-	return nil
+	// global, const
+	view := buf
+	if page, off, ok := pc.get(m.Mem, addr, n, false); ok && page != nil {
+		view = page[off : off+n]
+	} else if ok {
+		clear(buf) // unwritten memory reads as zero
+	} else {
+		m.Mem.Read(addr, buf)
+	}
+	if m.rec != nil {
+		m.rec.recordRead(addr, view)
+	}
+	return view, nil
 }
 
-func (m *Machine) storeBytes(c *CTA, w *Warp, lane int, space ptx.Space, addr uint64, buf []byte) error {
-	switch classifySpace(space, addr) {
+// loadBytes copies the len(buf) bytes at addr in space into buf, without
+// a page cache (atomics).
+func (m *Machine) loadBytes(c *CTA, w *Warp, lane int, space ptx.Space, addr uint64, buf []byte) error {
+	v, err := m.loadView(c, w, lane, space, addr, buf, nil)
+	copy(buf, v)
+	return err
+}
+
+// storeBytes writes buf at addr in space (already classified). pc, when
+// non-nil, caches global pages.
+func (m *Machine) storeBytes(c *CTA, w *Warp, lane int, space ptx.Space, addr uint64, buf []byte, pc *pageCache) error {
+	switch space {
 	case ptx.SpaceShared:
 		off := addr
 		if device.InSharedWindow(addr) {
 			off = addr - device.SharedWindowBase
 		}
-		if int(off)+len(buf) > len(c.Shared) {
+		if off > uint64(len(c.Shared)) || int(off)+len(buf) > len(c.Shared) {
 			return fmt.Errorf("exec: shared store out of bounds: off %d size %d (smem %d)", off, len(buf), len(c.Shared))
 		}
 		copy(c.Shared[off:], buf)
@@ -382,8 +506,8 @@ func (m *Machine) storeBytes(c *CTA, w *Warp, lane int, space ptx.Space, addr ui
 		if device.InLocalWindow(addr) {
 			off = addr - device.LocalWindowBase
 		}
-		lm := w.Locals[lane]
-		if int(off)+len(buf) > len(lm) {
+		lm := w.localMem(lane)
+		if off > uint64(len(lm)) || int(off)+len(buf) > len(lm) {
 			return fmt.Errorf("exec: local store out of bounds: off %d size %d (lmem %d)", off, len(buf), len(lm))
 		}
 		copy(lm[off:], buf)
@@ -393,26 +517,19 @@ func (m *Machine) storeBytes(c *CTA, w *Warp, lane int, space ptx.Space, addr ui
 		if m.rec != nil {
 			m.rec.recordWrite(addr, buf)
 		}
-		m.Mem.Write(addr, buf)
+		if page, off, ok := pc.get(m.Mem, addr, len(buf), true); ok {
+			copy(page[off:], buf)
+		} else {
+			m.Mem.Write(addr, buf)
+		}
 	}
 	return nil
 }
 
-// memAddress computes the effective address of a memory operand for a lane.
-// For ld.param with a symbol base, the address is the parameter offset.
-func (m *Machine) memAddress(c *CTA, w *Warp, lane int, in *ptx.Instr, o *ptx.Operand) (uint64, ptx.Space, error) {
-	space := in.Space
-	if o.Base >= 0 {
-		return uint64(int64(w.Reg(o.Base, lane)) + o.Offset), space, nil
+// localMem returns a lane's local memory (nil when the kernel has none).
+func (w *Warp) localMem(lane int) []byte {
+	if lane < len(w.Locals) {
+		return w.Locals[lane]
 	}
-	// Symbol base: parameter name or shared/local variable.
-	k := c.Grid.Kernel
-	if p := k.ParamByName(o.BaseSym); p != nil {
-		return uint64(int64(p.Offset) + o.Offset), ptx.SpaceParam, nil
-	}
-	base, err := m.symAddress(k, o.BaseSym)
-	if err != nil {
-		return 0, space, err
-	}
-	return uint64(int64(base) + o.Offset), space, nil
+	return nil
 }

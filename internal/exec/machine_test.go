@@ -3,6 +3,8 @@ package exec
 import (
 	"encoding/binary"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -199,6 +201,107 @@ func TestVecAdd(t *testing.T) {
 	// Coverage must include the exercised paths.
 	if e.m.Coverage().Count(CovKey{Op: ptx.OpAdd, T: ptx.F32}) == 0 {
 		t.Error("coverage missing add.f32")
+	}
+}
+
+// TestNewGridDecodesOncePerMachine: concurrent launches of one kernel on
+// one machine share a single decoded program.
+func TestNewGridDecodesOncePerMachine(t *testing.T) {
+	e := newEnv(t, BugSet{})
+	k := mustKernel(t, vecAddSrc, "vecadd")
+	grids := make([]*Grid, 8)
+	var wg sync.WaitGroup
+	for i := range grids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := e.m.NewGrid(k, Dim3{X: 1}, Dim3{X: 32}, params(uint64(0), uint64(0), uint64(0), 0), 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			grids[i] = g
+		}()
+	}
+	wg.Wait()
+	for _, g := range grids {
+		if g == nil || g.prog != grids[0].prog {
+			t.Fatal("launches of one kernel got different decoded programs")
+		}
+	}
+}
+
+// TestReleasedCTAStateIsZeroedOnReuse: a block built from a released
+// block's register files and shared memory starts as zeroed as a fresh one.
+func TestReleasedCTAStateIsZeroedOnReuse(t *testing.T) {
+	e := newEnv(t, BugSet{})
+	k := mustKernel(t, vecAddSrc, "vecadd")
+	g, err := e.m.NewGrid(k, Dim3{X: 2}, Dim3{X: 64}, params(uint64(0), uint64(0), uint64(0), 0), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := g.InitCTA(0)
+	for _, w := range old.Warps {
+		for i := range w.Regs {
+			w.Regs[i] = ^uint64(0)
+		}
+	}
+	for i := range old.Shared {
+		old.Shared[i] = 0xff
+	}
+	g.ReleaseCTA(old)
+	if old.Shared != nil || old.Warps[0].Regs != nil {
+		t.Fatal("released CTA still holds its buffers")
+	}
+	c := g.InitCTA(1)
+	for _, w := range c.Warps {
+		for i, v := range w.Regs {
+			if v != 0 {
+				t.Fatalf("warp %d register word %d = %#x on reuse", w.ID, i, v)
+			}
+		}
+	}
+	for i, v := range c.Shared {
+		if v != 0 {
+			t.Fatalf("shared byte %d = %#x on reuse", i, v)
+		}
+	}
+}
+
+const undecodableSrc = `
+.version 6.0
+.target sm_61
+.address_size 64
+.visible .entry undecodable(.param .u32 pN)
+{
+	.reg .pred %p<2>;
+	.reg .b32 %r<4>;
+	ld.param.u32 %r1, [pN];
+	mov.u32 %r2, %tid.x;
+	setp.lt.u32 %p1, %r2, %r1;
+	@%p1 mov.u32 %r3, nosuch;
+	ret;
+}
+`
+
+// TestUndecodableFailsOnlyWhenExecuted: an operand decoding cannot
+// resolve fails the launch only if a lane executes the instruction.
+func TestUndecodableFailsOnlyWhenExecuted(t *testing.T) {
+	e := newEnv(t, BugSet{})
+	k := mustKernel(t, undecodableSrc, "undecodable")
+	for _, n := range []int{0, 1} {
+		g, err := e.m.NewGrid(k, Dim3{X: 1}, Dim3{X: 32}, params(n), 0)
+		if err != nil {
+			t.Fatalf("NewGrid: %v", err)
+		}
+		err = e.m.RunGrid(g)
+		const want = `exec: "@%p1 mov.u32 %r3, nosuch;": exec: unknown symbol "nosuch" in kernel undecodable`
+		switch {
+		case n == 0 && err != nil:
+			t.Fatalf("predicated-off instruction failed: %v", err)
+		case n == 1 && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Fatalf("executed instruction: got %v, want an error containing %s", err, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ptx"
@@ -8,25 +9,31 @@ import (
 
 // StepWarp executes exactly one warp instruction (the instruction at the
 // top of the warp's SIMT stack) and returns what happened. It is the
-// single execution entry point for both the fast functional mode and the
-// cycle-level timing model.
+// convenience form of StepWarpCov for callers that step one warp at a
+// time outside the timing model.
 func (m *Machine) StepWarp(c *CTA, w *Warp) (StepInfo, error) {
-	return m.StepWarpCov(c, w, m.cov)
+	var info StepInfo
+	err := m.StepWarpCov(c, w, m.cov, &info)
+	return info, err
 }
 
-// StepWarpCov is StepWarp with an explicit coverage sink. Concurrent
-// callers stepping disjoint CTAs (the parallel timing engine) pass
-// per-worker Coverage shards so the shared machine-level counters are
-// never written from two goroutines; shards are merged back with
-// Coverage.Merge at kernel boundaries. A nil cov disables coverage
-// recording.
-func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage) (StepInfo, error) {
-	var info StepInfo
+// StepWarpCov executes one warp instruction and fills info in place (see
+// StepInfo for which fields it resets). It is the single execution entry
+// point for both the fast functional mode and the cycle-level timing
+// model, and it runs the grid's pre-decoded program (decode.go).
+//
+// cov is an explicit coverage sink. Concurrent callers stepping disjoint
+// CTAs (the parallel timing engine) pass per-worker Coverage shards so the
+// shared machine-level counters are never written from two goroutines;
+// shards are merged back with Coverage.Merge at kernel boundaries. A nil
+// cov disables coverage recording.
+func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage, info *StepInfo) error {
+	info.reset()
 	if w.Done {
-		return info, fmt.Errorf("exec: step of retired warp %d", w.ID)
+		return fmt.Errorf("exec: step of retired warp %d", w.ID)
 	}
 	if w.AtBarrier {
-		return info, fmt.Errorf("exec: step of warp %d blocked at barrier", w.ID)
+		return fmt.Errorf("exec: step of warp %d blocked at barrier", w.ID)
 	}
 
 	// Pop reconverged entries.
@@ -42,35 +49,36 @@ func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage) (StepInfo, error) 
 	if top.Mask == 0 {
 		w.Done = true
 		info.WarpDone = true
-		return info, nil
+		return nil
 	}
 
-	k := c.Grid.Kernel
-	if top.PC >= len(k.Instrs) {
+	prog := c.Grid.prog
+	if top.PC >= len(prog.insts) {
 		// Fell off the end of the kernel: implicit ret for all lanes.
 		m.retireLanes(w, top.Mask)
 		info.WarpDone = w.Done
-		return info, nil
+		return nil
 	}
 
-	in := &k.Instrs[top.PC]
+	d := &prog.insts[top.PC]
+	in := d.Instr
 	info.PC = top.PC
-	info.Instr = in
+	info.Inst = d
 
 	// Guard predicate: per-lane execution mask.
 	execMask := top.Mask
 	if in.PredReg >= 0 {
+		p := w.row(in.PredReg)
 		var pm uint32
-		for l := 0; l < WarpSize; l++ {
-			if top.Mask&(1<<l) == 0 {
-				continue
-			}
-			p := w.Reg(in.PredReg, l) != 0
-			if p != in.PredNeg {
+		for l := range p {
+			if p[l] != 0 {
 				pm |= 1 << l
 			}
 		}
-		execMask = pm
+		if in.PredNeg {
+			pm = ^pm
+		}
+		execMask &= pm
 	}
 	info.ActiveMask = execMask
 	w.InstrCount++
@@ -78,69 +86,60 @@ func (m *Machine) StepWarpCov(c *CTA, w *Warp, cov *Coverage) (StepInfo, error) 
 		cov.Note(in, execMask)
 	}
 
+	var err error
 	switch in.Op {
 	case ptx.OpBra:
 		m.stepBranch(w, top, in, execMask)
-		return info, nil
+		return nil
 
 	case ptx.OpRet, ptx.OpExit:
-		if execMask == top.Mask {
-			m.retireLanes(w, execMask)
-		} else {
-			m.retireLanes(w, execMask)
-			if !w.Done {
-				nt := &w.Stack[len(w.Stack)-1]
-				if nt.PC == in.PC { // surviving lanes continue past the guard
-					nt.PC++
-				}
+		partial := execMask != top.Mask // before retireLanes clears the lanes
+		m.retireLanes(w, execMask)
+		if partial && !w.Done {
+			nt := &w.Stack[len(w.Stack)-1]
+			if nt.PC == in.PC { // surviving lanes continue past the guard
+				nt.PC++
 			}
 		}
 		info.WarpDone = w.Done
-		return info, nil
+		return nil
 
 	case ptx.OpBar:
 		if len(w.Stack) != 1 {
-			return info, fmt.Errorf("exec: kernel %s pc %d: bar.sync in divergent control flow", k.Name, in.PC)
+			return fmt.Errorf("exec: kernel %s pc %d: bar.sync in divergent control flow", c.Grid.Kernel.Name, in.PC)
 		}
 		w.AtBarrier = true
 		top.PC++
 		info.Barrier = true
-		return info, nil
+		return nil
 
 	case ptx.OpMembar:
 		top.PC++
-		return info, nil
+		return nil
 
 	case ptx.OpLd:
-		if err := m.stepLoad(c, w, in, execMask, &info); err != nil {
-			return info, err
-		}
+		err = m.runLoad(c, w, d, execMask, info)
 	case ptx.OpSt:
-		if err := m.stepStore(c, w, in, execMask, &info); err != nil {
-			return info, err
-		}
+		err = m.runStore(c, w, d, execMask, info)
 	case ptx.OpAtom:
-		if err := m.stepAtom(c, w, in, execMask, &info); err != nil {
-			return info, err
-		}
+		err = m.runAtom(c, w, d, execMask, info)
 	case ptx.OpTex:
-		if err := m.stepTex(c, w, in, execMask, &info); err != nil {
-			return info, err
-		}
+		err = m.runTex(c, w, d, execMask, info)
 	default:
-		if err := m.stepALU(c, w, in, execMask); err != nil {
-			return info, err
-		}
+		err = m.runALU(c, w, d, execMask)
+	}
+	if err != nil {
+		return err
 	}
 	top.PC++
-	return info, nil
+	return nil
 }
 
 // PeekWarp returns the instruction the warp will execute next, after
 // popping any reconverged stack entries (idempotent bookkeeping). It
 // returns nil when the warp has retired or will retire on its next step.
 // The timing model uses this to consult the scoreboard before issue.
-func (m *Machine) PeekWarp(c *CTA, w *Warp) *ptx.Instr {
+func (m *Machine) PeekWarp(c *CTA, w *Warp) *Inst {
 	if w.Done {
 		return nil
 	}
@@ -156,11 +155,11 @@ func (m *Machine) PeekWarp(c *CTA, w *Warp) *ptx.Instr {
 	if top.Mask == 0 {
 		return nil
 	}
-	k := c.Grid.Kernel
-	if top.PC >= len(k.Instrs) {
+	prog := c.Grid.prog
+	if top.PC >= len(prog.insts) {
 		return nil
 	}
-	return &k.Instrs[top.PC]
+	return &prog.insts[top.PC]
 }
 
 // retireLanes removes lanes from every stack entry and pops empty entries.
@@ -197,161 +196,196 @@ func (m *Machine) stepBranch(w *Warp, top *StackEntry, in *ptx.Instr, takenMask 
 	}
 }
 
-func (m *Machine) stepALU(c *CTA, w *Warp, in *ptx.Instr, execMask uint32) error {
-	if len(in.Dst) == 0 {
-		return fmt.Errorf("exec: %q: missing destination", in.Raw)
+// runALU computes a register-producing instruction for the whole warp.
+// The bound function writes all 32 lanes in place; with a partial mask
+// the inactive lanes' previous values are restored afterwards.
+func (m *Machine) runALU(c *CTA, w *Warp, d *Inst, mask uint32) error {
+	if d.err != nil {
+		return d.err
 	}
-	d := &in.Dst[0]
-	// mov of a vector (pack/unpack) is unsupported; scalar only.
-	if d.Kind != ptx.OperandReg {
-		return fmt.Errorf("exec: %q: non-register destination", in.Raw)
+	if mask == 0 {
+		return nil
 	}
-	srcT := in.T
-	if in.Op == ptx.OpCvt && in.T2 != ptx.TypeNone {
-		srcT = in.T2
+	if d.laneErr != nil {
+		return d.laneErr
 	}
-	var s [4]uint64
-	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
-			continue
-		}
-		for i := range in.Src {
-			st := srcT
-			if in.Op == ptx.OpSelp && i == 2 {
-				st = ptx.Pred
+	r := w.row(d.dst)
+	if d.sreg {
+		// special registers (mov %r, %tid.x and the like): lane by lane
+		for l := range r {
+			if mask&(1<<l) != 0 {
+				var s [4]uint64
+				for i := range s {
+					s[i] = d.src[i].value(c, w, l)
+				}
+				r[l], _ = m.evalALU(d.Instr, s)
 			}
-			if in.Op == ptx.OpSlct && i == 2 {
-				st = in.T2
-			}
-			v, err := m.readOperand(c, w, l, &in.Src[i], st)
-			if err != nil {
-				return fmt.Errorf("exec: %q: %w", in.Raw, err)
-			}
-			s[i] = v
 		}
-		r, err := m.evalALU(in, s)
-		if err != nil {
-			return err
+		return nil
+	}
+	a, b, cc, dd := d.src[0].row(w), d.src[1].row(w), d.src[2].row(w), d.src[3].row(w)
+	if mask == fullMask {
+		d.alu(r, a, b, cc, dd)
+		return nil
+	}
+	old := *r
+	d.alu(r, a, b, cc, dd)
+	for l := range r {
+		if mask&(1<<l) == 0 {
+			r[l] = old[l]
 		}
-		w.SetReg(d.Reg, l, r)
 	}
 	return nil
 }
 
-func (m *Machine) stepLoad(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info *StepInfo) error {
-	src := &in.Src[0]
-	if src.Kind != ptx.OperandMem {
-		return fmt.Errorf("exec: %q: load source is not a memory operand", in.Raw)
+// runLoad executes ld for the warp. A constant ld.param address is read
+// once and broadcast; global accesses look up each page once per
+// instruction (pageCache).
+func (m *Machine) runLoad(c *CTA, w *Warp, d *Inst, mask uint32, info *StepInfo) error {
+	if d.err != nil {
+		return d.err
 	}
-	elemSize := in.T.Size()
-	total := elemSize * in.Vec
+	in := d.Instr
 	info.IsMem = true
-	info.AccSize = total
+	info.AccSize = d.accSize
+	if mask == 0 {
+		return nil
+	}
+	if d.laneErr != nil {
+		return d.laneErr
+	}
+	ref := &d.mem
 	var buf [32]byte
+	es := d.elemSize
+	if ref.base < 0 && ref.space == ptx.SpaceParam {
+		b, err := m.loadView(c, w, 0, ptx.SpaceParam, ref.addr, buf[:d.accSize], nil)
+		if err != nil {
+			return wrap(in, err)
+		}
+		info.Space = ptx.SpaceParam
+		for e, slot := range d.dsts {
+			v := truncToType(leLoad(b[e*es:(e+1)*es]), in.T)
+			r := w.row(slot)
+			for l := range r {
+				if mask&(1<<l) != 0 {
+					r[l] = v
+					info.Addrs[l] = ref.addr
+				}
+			}
+		}
+		return nil
+	}
+	// Loads do not sign-extend beyond the register width; widening is
+	// handled by the type: ld.s16 into a 32-bit register sign-extends per
+	// PTX semantics. For every other type truncToType of an es-byte value
+	// is the identity.
+	signed := in.T.Signed()
+	var scalar *vec
+	if len(d.dsts) == 1 {
+		scalar = w.row(d.dsts[0])
+	}
+	var pc pageCache
 	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
+		if mask&(1<<l) == 0 {
 			continue
 		}
-		addr, space, err := m.memAddress(c, w, l, in, src)
-		if err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
-		}
+		addr := ref.at(w, l)
+		space := classifySpace(ref.space, addr)
 		if info.Space == ptx.SpaceNone {
-			info.Space = classifySpace(space, addr)
+			info.Space = space
 		}
 		info.Addrs[l] = addr
-		if err := m.loadBytes(c, w, l, space, addr, buf[:total]); err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
+		b, err := m.loadView(c, w, l, space, addr, buf[:d.accSize], &pc)
+		if err != nil {
+			return wrap(in, err)
 		}
-		if in.Vec == 1 {
-			v := leLoad(buf[:elemSize])
-			// Loads do not sign-extend beyond the register width; widening
-			// is handled by the type: ld.s16 into a 32-bit register
-			// sign-extends per PTX semantics.
-			w.SetReg(in.Dst[0].Reg, l, truncToType(v, in.T))
-		} else {
-			for e := 0; e < in.Vec; e++ {
-				v := leLoad(buf[e*elemSize : (e+1)*elemSize])
-				w.SetReg(in.Dst[0].Elems[e].Reg, l, truncToType(v, in.T))
+		if scalar != nil {
+			v := leLoad(b)
+			if signed {
+				v = truncToType(v, in.T)
 			}
+			scalar[l] = v
+			continue
+		}
+		for e, slot := range d.dsts {
+			w.Regs[slot*WarpSize+l] = truncToType(leLoad(b[e*es:(e+1)*es]), in.T)
 		}
 	}
 	return nil
 }
 
-func (m *Machine) stepStore(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info *StepInfo) error {
-	addrOp := &in.Src[0]
-	valOp := &in.Src[1]
-	if addrOp.Kind != ptx.OperandMem {
-		return fmt.Errorf("exec: %q: store target is not a memory operand", in.Raw)
+// runStore executes st for the warp.
+func (m *Machine) runStore(c *CTA, w *Warp, d *Inst, mask uint32, info *StepInfo) error {
+	if d.err != nil {
+		return d.err
 	}
-	elemSize := in.T.Size()
-	total := elemSize * in.Vec
+	in := d.Instr
 	info.IsMem = true
 	info.IsStore = true
-	info.AccSize = total
+	info.AccSize = d.accSize
+	if mask == 0 {
+		return nil
+	}
+	if d.laneErr != nil {
+		return d.laneErr
+	}
+	ref := &d.mem
 	var buf [32]byte
+	b := buf[:d.accSize]
+	var pc pageCache
 	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
+		if mask&(1<<l) == 0 {
 			continue
 		}
-		addr, space, err := m.memAddress(c, w, l, in, addrOp)
-		if err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
-		}
+		addr := ref.at(w, l)
+		space := classifySpace(ref.space, addr)
 		if info.Space == ptx.SpaceNone {
-			info.Space = classifySpace(space, addr)
+			info.Space = space
 		}
 		info.Addrs[l] = addr
-		if in.Vec == 1 {
-			v, err := m.readOperand(c, w, l, valOp, in.T)
-			if err != nil {
-				return fmt.Errorf("exec: %q: %w", in.Raw, err)
-			}
-			leStore(buf[:elemSize], v)
-		} else {
-			for e := 0; e < in.Vec; e++ {
-				v, err := m.readOperand(c, w, l, &valOp.Elems[e], in.T)
-				if err != nil {
-					return fmt.Errorf("exec: %q: %w", in.Raw, err)
-				}
-				leStore(buf[e*elemSize:(e+1)*elemSize], v)
-			}
+		for e := 0; e < in.Vec; e++ {
+			leStore(b[e*d.elemSize:(e+1)*d.elemSize], d.src[e].value(c, w, l))
 		}
-		if err := m.storeBytes(c, w, l, space, addr, buf[:total]); err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
+		if err := m.storeBytes(c, w, l, space, addr, b, &pc); err != nil {
+			return wrap(in, err)
 		}
 	}
 	return nil
 }
 
-func (m *Machine) stepAtom(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info *StepInfo) error {
-	addrOp := &in.Src[0]
-	size := in.T.Size()
+// runAtom executes atom lane by lane, in lane order, straight against
+// memory: each lane must see the previous lanes' updates.
+func (m *Machine) runAtom(c *CTA, w *Warp, d *Inst, mask uint32, info *StepInfo) error {
+	if d.err != nil {
+		return d.err
+	}
+	in := d.Instr
+	size := d.elemSize
 	info.IsMem = true
 	info.IsAtomic = true
 	info.AccSize = size
 	var buf [8]byte
 	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
+		if mask&(1<<l) == 0 {
 			continue
 		}
-		addr, space, err := m.memAddress(c, w, l, in, addrOp)
-		if err != nil {
-			return fmt.Errorf("exec: %q: %w", in.Raw, err)
+		if d.laneErr != nil {
+			return d.laneErr
 		}
+		addr := d.mem.at(w, l)
+		space := classifySpace(d.mem.space, addr)
 		info.Addrs[l] = addr
 		if info.Space == ptx.SpaceNone {
-			info.Space = classifySpace(space, addr)
+			info.Space = space
 		}
 		if err := m.loadBytes(c, w, l, space, addr, buf[:size]); err != nil {
 			return err
 		}
 		old := truncToType(leLoad(buf[:size]), in.T)
-		b, err := m.readOperand(c, w, l, &in.Src[1], in.T)
-		if err != nil {
-			return err
+		if d.opErr != nil && d.opErr[0] != nil {
+			return d.opErr[0]
 		}
+		b := d.src[0].value(c, w, l)
 		var newV uint64
 		switch in.Atom {
 		case ptx.AtomAdd:
@@ -379,12 +413,11 @@ func (m *Machine) stepAtom(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info
 		case ptx.AtomXor:
 			newV = old ^ b
 		case ptx.AtomCas:
-			cVal, err := m.readOperand(c, w, l, &in.Src[2], in.T)
-			if err != nil {
-				return err
+			if d.opErr != nil && d.opErr[1] != nil {
+				return d.opErr[1]
 			}
 			if old == truncToType(b, in.T) {
-				newV = cVal
+				newV = d.src[1].value(c, w, l)
 			} else {
 				newV = old
 			}
@@ -392,22 +425,26 @@ func (m *Machine) stepAtom(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info
 			return fmt.Errorf("exec: %q: unsupported atomic op", in.Raw)
 		}
 		leStore(buf[:size], newV)
-		if err := m.storeBytes(c, w, l, space, addr, buf[:size]); err != nil {
+		if err := m.storeBytes(c, w, l, space, addr, buf[:size], nil); err != nil {
 			return err
 		}
-		if len(in.Dst) > 0 && in.Dst[0].Kind == ptx.OperandReg {
-			w.SetReg(in.Dst[0].Reg, l, old)
+		if d.dst >= 0 {
+			w.Regs[d.dst*WarpSize+l] = old
 		}
 	}
 	return nil
 }
 
-func (m *Machine) stepTex(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info *StepInfo) error {
+// runTex executes a texture fetch lane by lane.
+func (m *Machine) runTex(c *CTA, w *Warp, d *Inst, mask uint32, info *StepInfo) error {
+	if d.err != nil {
+		return d.err
+	}
+	in := d.Instr
 	if m.Tex == nil {
 		return fmt.Errorf("exec: %q: no texture registry attached", in.Raw)
 	}
-	name := in.Src[0].Sym
-	arr, err := m.Tex.LookupByName(name)
+	arr, err := m.Tex.LookupByName(in.Src[0].Sym)
 	if err != nil {
 		return fmt.Errorf("exec: %q: %w", in.Raw, err)
 	}
@@ -416,44 +453,21 @@ func (m *Machine) stepTex(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info 
 		// capture that reads one cannot be validated later
 		m.rec.unsound = true
 	}
-	coord := &in.Src[1]
-	dst := &in.Dst[0]
 	info.IsMem = true
 	info.Space = ptx.SpaceTex
 	info.AccSize = 16
 	for l := 0; l < WarpSize; l++ {
-		if execMask&(1<<l) == 0 {
+		if mask&(1<<l) == 0 {
 			continue
 		}
-		var x, y int
-		switch coord.Kind {
-		case ptx.OperandVec:
-			v0, err := m.readOperand(c, w, l, &coord.Elems[0], ptx.S32)
-			if err != nil {
-				return err
-			}
-			x = int(int32(v0))
-			if in.Geom == 2 && len(coord.Elems) > 1 {
-				v1, err := m.readOperand(c, w, l, &coord.Elems[1], ptx.S32)
-				if err != nil {
-					return err
-				}
-				y = int(int32(v1))
-			}
-		default:
-			v0, err := m.readOperand(c, w, l, coord, ptx.S32)
-			if err != nil {
-				return err
-			}
-			x = int(int32(v0))
+		if d.laneErr != nil {
+			return d.laneErr
 		}
+		x := int(int32(d.src[0].value(c, w, l)))
+		y := int(int32(d.src[1].value(c, w, l)))
 		texel := arr.Fetch(x, y)
-		if dst.Kind == ptx.OperandVec {
-			for e := 0; e < len(dst.Elems) && e < 4; e++ {
-				w.SetReg(dst.Elems[e].Reg, l, f32bits(texel[e]))
-			}
-		} else {
-			w.SetReg(dst.Reg, l, f32bits(texel[0]))
+		for e, slot := range d.dsts {
+			w.Regs[slot*WarpSize+l] = f32bits(texel[e])
 		}
 		info.Addrs[l] = uint64(y*arr.Width+x) * 4
 	}
@@ -461,6 +475,12 @@ func (m *Machine) stepTex(c *CTA, w *Warp, in *ptx.Instr, execMask uint32, info 
 }
 
 func leLoad(b []byte) uint64 {
+	switch len(b) {
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	}
 	var v uint64
 	for i := len(b) - 1; i >= 0; i-- {
 		v = v<<8 | uint64(b[i])
@@ -480,11 +500,12 @@ func leStore(b []byte, v uint64) {
 // the number of instructions executed.
 func (m *Machine) RunWarp(c *CTA, w *Warp, budget int64) (int64, error) {
 	var n int64
+	var info StepInfo
 	for !w.Done && !w.AtBarrier {
 		if budget >= 0 && n >= budget {
 			break
 		}
-		if _, err := m.StepWarp(c, w); err != nil {
+		if err := m.StepWarpCov(c, w, m.cov, &info); err != nil {
 			return n, err
 		}
 		n++
@@ -566,6 +587,7 @@ func (m *Machine) RunGrid(g *Grid) error {
 		if err := m.RunCTA(cta); err != nil {
 			return err
 		}
+		g.ReleaseCTA(cta)
 	}
 	return nil
 }

@@ -5,7 +5,7 @@
 // traffic counts, the quantities NVProf reports) with an analytical
 // throughput model of the target card, plus per-kernel-family calibration
 // factors derived from the paper's published per-kernel discrepancies
-// (Fig. 7). See DESIGN.md "Substitutions".
+// (Fig. 7). See README.md, "Paper experiments".
 package hwmodel
 
 import (
@@ -173,8 +173,7 @@ func (o *Oracle) RunKernel(g *exec.Grid) (cudart.KernelStats, error) {
 		WarpInstrs: warpInstrs, MemBytes: memBytes,
 	})
 	return cudart.KernelStats{
-		Name: g.Kernel.Name, GridDim: g.GridDim, BlockDim: g.BlockDim,
-		Cycles: uint64(cycles), WarpInstrs: warpInstrs,
+		Name: g.Kernel.Name, Cycles: uint64(cycles), WarpInstrs: warpInstrs,
 	}, nil
 }
 

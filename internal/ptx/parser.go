@@ -149,7 +149,9 @@ func (p *parser) parseModuleVar() error {
 
 func (p *parser) parseEntry() error {
 	p.next() // .entry
-	name := p.next().text
+	// A token is a substring of the whole module source; the clone keeps
+	// values that outlive the module (launch logs) from pinning it.
+	name := strings.Clone(p.next().text)
 	k := &Kernel{
 		Name:     name,
 		Labels:   make(map[string]int),

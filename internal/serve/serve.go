@@ -111,7 +111,10 @@ type Result struct {
 	BatchCap    int            // admission cap in effect
 	PeakBatch   int            // largest concurrent batch observed
 	Log         []cudart.KernelStats
-	Stats       timing.Stats // engine counters, replay counters included
+	// Stats holds the engine counters, replay counters included, with
+	// PerKernel left empty: nothing reads it here, and Log already
+	// carries every launch's outcome, so a Result retains no copy.
+	Stats timing.Stats
 
 	// Decode-trace fields (zero on v1 traces): the KV admission budget in
 	// effect, the largest resident KV footprint observed, and — with
@@ -486,5 +489,6 @@ func Run(cfg Config, tr Trace) (*Result, error) {
 	res.TotalCycles = now
 	res.Log = append([]cudart.KernelStats(nil), dev.Ctx.KernelStatsLog()...)
 	res.Stats = *eng.Stats()
+	res.Stats.PerKernel = nil
 	return res, nil
 }

@@ -98,6 +98,9 @@ func TestServeSeededTraceReproducible(t *testing.T) {
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Errorf("engine stats differ across identical runs:\n%+v\n%+v", a.Stats, b.Stats)
 	}
+	if a.Stats.PerKernel != nil {
+		t.Errorf("Result retains %d per-kernel samples; Log carries them", len(a.Stats.PerKernel))
+	}
 }
 
 // TestServeWorkerDeterminism: serving extends the engine's -j1 vs -jN

@@ -2,6 +2,8 @@ package timing
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 
 	"repro/internal/cache"
@@ -75,6 +77,14 @@ func WithWorkers(n int) Option {
 
 // New builds an engine for a machine configuration.
 func New(cfg Config, opts ...Option) (*Engine, error) {
+	// A Stats series bucket counts up to one event per scheduler per
+	// cycle of the bucket, stored in 32 bits.
+	hi, slots := bits.Mul64(uint64(max(cfg.SampleInterval, 0)), uint64(max(cfg.NumSMs, 0)))
+	hi2, slots := bits.Mul64(slots, uint64(max(cfg.SchedulersPerSM, 0)))
+	if hi != 0 || hi2 != 0 || slots > math.MaxUint32 {
+		return nil, fmt.Errorf("timing: SampleInterval %d × NumSMs %d × SchedulersPerSM %d issue slots per sample bucket exceed 32 bits",
+			cfg.SampleInterval, cfg.NumSMs, cfg.SchedulersPerSM)
+	}
 	e := &Engine{cfg: cfg, stats: newStats(cfg), workers: 1}
 	for i := 0; i < cfg.NumSMs; i++ {
 		l1, err := cache.New(cfg.L1)
@@ -273,9 +283,7 @@ func (e *Engine) submit(g *exec.Grid, stream, skipCTAs int, preload []*exec.CTA)
 	t := &Ticket{
 		kind: opKernel, stream: stream,
 		grid: g, skipCTAs: skipCTAs, preload: preload,
-		stats: cudart.KernelStats{
-			Name: g.Kernel.Name, GridDim: g.GridDim, BlockDim: g.BlockDim,
-		},
+		stats: cudart.KernelStats{Name: g.Kernel.Name},
 	}
 	run, err := newGridRun(&e.cfg, t)
 	if err != nil {
@@ -412,6 +420,13 @@ func (e *Engine) drain(workers int) error {
 	nParts := len(e.parts)
 	deadline := e.cycle + 2_000_000_000 // runaway guard
 
+	// The per-cycle stage functions are built once: a func literal
+	// handed to the pool escapes, so building them inside the loop would
+	// allocate three closures every simulated cycle.
+	var now uint64
+	issueStage := func(i int) { e.cores[i].stageIssue(m, now) }
+	partStage := func(i int) { e.parts[i].drain(&e.cfg) }
+	applyStage := func(i int) { e.cores[i].applyMem(now) }
 	for {
 		// Complete in-flight timed operations — copies run their
 		// functional memory effect now that the modelled transfer has
@@ -504,10 +519,10 @@ func (e *Engine) drain(workers int) error {
 		if e.cycle > deadline {
 			return e.abortBatch(m, fmt.Errorf("timing: exceeded cycle budget (deadlock?)"), -1)
 		}
-		now := e.cycle
+		now = e.cycle
 
 		// Phase 1: parallel issue stage.
-		p.run(nCores, func(i int) { e.cores[i].stageIssue(m, now) })
+		p.run(nCores, issueStage)
 
 		anyIssued := false
 		anyMem := false
@@ -538,6 +553,10 @@ func (e *Engine) drain(workers int) error {
 			}
 			for _, s := range c.retiredSlots {
 				s.run.done++
+				// retired: nothing reads the block's registers or shared
+				// memory again (its warps left the schedulers in
+				// stageIssue), so a later block may reuse them
+				s.run.grid.ReleaseCTA(s.cta)
 			}
 		}
 
@@ -561,9 +580,9 @@ func (e *Engine) drain(workers int) error {
 				}
 			}
 			// Phase 3: parallel partition drain (canonical order inside).
-			p.run(nParts, func(i int) { e.parts[i].drain(&e.cfg) })
+			p.run(nParts, partStage)
 			// Phase 4: parallel scoreboard/L1 apply.
-			p.run(nCores, func(i int) { e.cores[i].applyMem(now) })
+			p.run(nCores, applyStage)
 		}
 
 		// Retire finished grids in submission order; each retirement

@@ -26,6 +26,21 @@ func perfContext(t *testing.T, cfg timing.Config) (*cudart.Context, *cudnn.Handl
 	return ctx, h, eng
 }
 
+// TestNewRejectsSampleBucketOverflow: the AerialVision series store
+// issue-slot counts per bucket in 32 bits, so a configuration whose bucket
+// could hold more slots is a configuration error, not a silent wrap.
+func TestNewRejectsSampleBucketOverflow(t *testing.T) {
+	cfg := timing.GTX1050()
+	cfg.SampleInterval = 1 << 30
+	if _, err := timing.New(cfg); err == nil {
+		t.Fatalf("New accepted %d-cycle buckets on %d SMs × %d schedulers", cfg.SampleInterval, cfg.NumSMs, cfg.SchedulersPerSM)
+	}
+	cfg.SampleInterval = (1<<32 - 1) / (cfg.NumSMs * cfg.SchedulersPerSM)
+	if _, err := timing.New(cfg); err != nil {
+		t.Fatalf("New rejected the largest fitting interval: %v", err)
+	}
+}
+
 func TestTimingFunctionalEquivalence(t *testing.T) {
 	// The performance model must produce bit-identical results to the
 	// functional mode (it drives the same functional machine).

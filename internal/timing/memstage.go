@@ -3,7 +3,6 @@ package timing
 import (
 	"repro/internal/cache"
 	"repro/internal/exec"
-	"repro/internal/ptx"
 )
 
 // The memory stage models everything below a core's issue logic: the
@@ -42,7 +41,7 @@ type segRequest struct {
 // stage for the current cycle.
 type memRequest struct {
 	w        *warpCtx
-	in       *ptx.Instr
+	in       *exec.Inst
 	isStore  bool
 	isAtomic bool
 	done     uint64 // running max completion over already-resolved segments
@@ -114,7 +113,7 @@ func (c *smCore) memIssue(info *exec.StepInfo, w *warpCtx, now uint64) {
 
 	req := c.newReq()
 	req.w = w
-	req.in = info.Instr
+	req.in = info.Inst
 	req.isStore = info.IsStore
 	req.isAtomic = info.IsAtomic
 	req.done = now

@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"math/bits"
+
 	"repro/internal/exec"
 	"repro/internal/ptx"
 )
@@ -18,60 +20,30 @@ type warpCtx struct {
 	minIssueAt uint64   // structural stall (atomics, retry delays)
 }
 
-// srcReady consults the scoreboard for every source register of in. It
-// returns whether all sources are readable at cycle now, and if not the
-// cycle at which the latest one becomes ready.
-func (w *warpCtx) srcReady(in *ptx.Instr, now uint64) (bool, uint64) {
+// srcReady consults the scoreboard for every register in's source slot
+// list (guard predicate, register sources, memory bases, vector elements;
+// see exec.Inst). It returns whether all are readable at cycle now, and
+// if not the cycle at which the latest one becomes ready. Destination
+// registers are not checked: in-order issue makes WAW safe because
+// writes complete in latency order per class.
+func (w *warpCtx) srcReady(in *exec.Inst, now uint64) (bool, uint64) {
 	var latest uint64
-	check := func(slot int) {
+	for _, slot := range in.SrcSlots {
 		if r := w.regReady[slot]; r > latest {
 			latest = r
 		}
 	}
-	if in.PredReg >= 0 {
-		check(in.PredReg)
-	}
-	for i := range in.Src {
-		o := &in.Src[i]
-		switch o.Kind {
-		case ptx.OperandReg:
-			check(o.Reg)
-		case ptx.OperandMem:
-			if o.Base >= 0 {
-				check(o.Base)
-			}
-		case ptx.OperandVec:
-			for j := range o.Elems {
-				if o.Elems[j].Kind == ptx.OperandReg {
-					check(o.Elems[j].Reg)
-				}
-			}
-		}
-	}
-	// store address operand lives in Src[0]; dst regs for loads checked
-	// for WAR-free pipelines are skipped (in-order issue makes WAW safe
-	// because writes complete in latency order per class).
 	return latest <= now, latest
 }
 
 // markDst sets destination registers busy until `ready`.
-func (w *warpCtx) markDst(in *ptx.Instr, ready uint64) {
-	for i := range in.Dst {
-		o := &in.Dst[i]
-		switch o.Kind {
-		case ptx.OperandReg:
-			w.regReady[o.Reg] = ready
-		case ptx.OperandVec:
-			for j := range o.Elems {
-				if o.Elems[j].Kind == ptx.OperandReg {
-					w.regReady[o.Elems[j].Reg] = ready
-				}
-			}
-		}
+func (w *warpCtx) markDst(in *exec.Inst, ready uint64) {
+	for _, slot := range in.DstSlots {
+		w.regReady[slot] = ready
 	}
 }
 
-func latencyClass(cfg *Config, in *ptx.Instr) (lat int, sfu bool) {
+func latencyClass(cfg *Config, in *exec.Inst) (lat int, sfu bool) {
 	switch in.Op {
 	case ptx.OpSqrt, ptx.OpRsqrt, ptx.OpRcp, ptx.OpLg2, ptx.OpEx2, ptx.OpSin, ptx.OpCos:
 		return cfg.SFULat, true
@@ -87,10 +59,4 @@ func latencyClass(cfg *Config, in *ptx.Instr) (lat int, sfu bool) {
 	}
 }
 
-func popcount(m uint32) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
+func popcount(m uint32) int { return bits.OnesCount32(m) }

@@ -126,9 +126,12 @@ type Stats struct {
 	ReplayDriftCycles    uint64
 	ReplayMemoApplied    uint64
 
-	coreIPC   [][]uint64 // [core][bucket] warp instructions issued
-	laneCount [][]uint64 // [active lanes 1..32 -> idx 0..31][bucket]
-	stalls    [numStallKinds][]uint64
+	// AerialVision series. A bucket counts issue-slot events, at most
+	// SampleInterval × NumSMs × SchedulersPerSM per engine, which
+	// timing.New requires to fit in 32 bits.
+	coreIPC   []series // [core] warp instructions issued
+	laneCount []series // [active lanes 1..32 -> idx 0..31]
+	stalls    [numStallKinds]series
 
 	// PerKernel holds one sample per retired kernel launch, in retirement
 	// order, each carrying its attributed memory counters.
@@ -140,24 +143,17 @@ func newStats(cfg Config) *Stats {
 		interval: uint64(cfg.SampleInterval),
 		numSMs:   cfg.NumSMs,
 		scheds:   cfg.SchedulersPerSM,
-		coreIPC:  make([][]uint64, cfg.NumSMs),
+		coreIPC:  make([]series, cfg.NumSMs),
 	}
-	s.laneCount = make([][]uint64, 32)
+	s.laneCount = make([]series, 32)
 	return s
 }
 
-func grow(s []uint64, idx uint64) []uint64 {
-	for uint64(len(s)) <= idx {
-		s = append(s, 0)
-	}
-	return s
-}
-
-func (s *Stats) noteIssue(core int, cycle uint64, info exec.StepInfo, lanes int) {
+func (s *Stats) noteIssue(core int, cycle uint64, info *exec.StepInfo, lanes int) {
 	s.Instructions++
 	s.ThreadInstrs += uint64(lanes)
-	if info.Instr != nil {
-		switch info.Instr.Op {
+	if info.Inst != nil {
+		switch info.Inst.Op {
 		case ptx.OpSqrt, ptx.OpRsqrt, ptx.OpRcp, ptx.OpLg2, ptx.OpEx2, ptx.OpSin, ptx.OpCos:
 			s.SFUOps += uint64(lanes)
 		default:
@@ -168,12 +164,9 @@ func (s *Stats) noteIssue(core int, cycle uint64, info exec.StepInfo, lanes int)
 		return
 	}
 	b := cycle/s.interval - s.base
-	s.coreIPC[core] = grow(s.coreIPC[core], b)
-	s.coreIPC[core][b]++
+	s.coreIPC[core].add(b, 1)
 	if lanes >= 1 {
-		idx := lanes - 1
-		s.laneCount[idx] = grow(s.laneCount[idx], b)
-		s.laneCount[idx][b]++
+		s.laneCount[lanes-1].add(b, 1)
 	}
 }
 
@@ -184,9 +177,7 @@ func (s *Stats) noteStall(core int, cycle uint64, k stallKind) {
 	if s.interval == 0 {
 		return
 	}
-	b := cycle/s.interval - s.base
-	s.stalls[k] = grow(s.stalls[k], b)
-	s.stalls[k][b]++
+	s.stalls[k].add(cycle/s.interval-s.base, 1)
 }
 
 // addIdleBulk charges fast-forwarded cycles to the memory-stall category
@@ -203,8 +194,7 @@ func (s *Stats) addIdleBulk(from, span uint64, cfg Config) {
 		if c+width > from+span {
 			width = from + span - c
 		}
-		s.stalls[stallMem] = grow(s.stalls[stallMem], b)
-		s.stalls[stallMem][b] += width * uint64(cfg.NumSMs*cfg.SchedulersPerSM)
+		s.stalls[stallMem].add(b, width*uint64(cfg.NumSMs*cfg.SchedulersPerSM))
 	}
 }
 
@@ -216,6 +206,8 @@ func NewStats(cfg Config) *Stats { return newStats(cfg) }
 // Merge folds another engine's accumulated statistics into s: counters
 // and time series add, and o's per-kernel samples append in retirement
 // order. Both sides must be shaped for the same Config (same SM count).
+// A merged series bucket sums the engines' buckets, so it holds up to
+// the engine count times the per-engine bound of 32 bits checked by New.
 // Merging per-device stats in a fixed rank order keeps the result
 // byte-identical for any host worker count.
 func (s *Stats) Merge(o *Stats) {
@@ -259,27 +251,14 @@ func (s *Stats) merge(o *Stats) {
 	s.ReplayDriftCycles += o.ReplayDriftCycles
 	s.ReplayMemoApplied += o.ReplayMemoApplied
 	for c := range o.coreIPC {
-		s.coreIPC[c] = mergeSeries(s.coreIPC[c], o.coreIPC[c], o.base)
+		s.coreIPC[c].merge(&o.coreIPC[c], o.base)
 	}
 	for i := range o.laneCount {
-		s.laneCount[i] = mergeSeries(s.laneCount[i], o.laneCount[i], o.base)
+		s.laneCount[i].merge(&o.laneCount[i], o.base)
 	}
 	for k := range o.stalls {
-		s.stalls[k] = mergeSeries(s.stalls[k], o.stalls[k], o.base)
+		s.stalls[k].merge(&o.stalls[k], o.base)
 	}
-}
-
-// mergeSeries adds src (whose index 0 is bucket `base`) into dst (absolute
-// buckets).
-func mergeSeries(dst, src []uint64, base uint64) []uint64 {
-	if len(src) == 0 {
-		return dst
-	}
-	dst = grow(dst, base+uint64(len(src)-1))
-	for i, v := range src {
-		dst[base+uint64(i)] += v
-	}
-	return dst
 }
 
 // rebase marks the kernel-start bucket of a per-core shard so its series
@@ -297,13 +276,13 @@ func (s *Stats) reset() {
 	coreIPC, laneCount, stalls := s.coreIPC, s.laneCount, s.stalls
 	*s = Stats{interval: interval, numSMs: numSMs, scheds: scheds}
 	for i := range coreIPC {
-		coreIPC[i] = coreIPC[i][:0]
+		coreIPC[i].reset()
 	}
 	for i := range laneCount {
-		laneCount[i] = laneCount[i][:0]
+		laneCount[i].reset()
 	}
 	for i := range stalls {
-		stalls[i] = stalls[i][:0]
+		stalls[i].reset()
 	}
 	s.coreIPC, s.laneCount, s.stalls = coreIPC, laneCount, stalls
 	s.PerKernel = kernels[:0]
@@ -341,17 +320,13 @@ func (s *Stats) Interval() uint64 { return s.interval }
 // GlobalIPCSeries returns total warp instructions per bucket across all
 // shaders divided by the bucket width (the paper's global IPC plot).
 func (s *Stats) GlobalIPCSeries() []float64 {
-	n := 0
+	var n uint64
 	for _, c := range s.coreIPC {
-		if len(c) > n {
-			n = len(c)
-		}
+		n = max(n, c.n)
 	}
 	out := make([]float64, n)
 	for _, c := range s.coreIPC {
-		for i, v := range c {
-			out[i] += float64(v)
-		}
+		c.addTo(out, 1)
 	}
 	for i := range out {
 		out[i] /= float64(s.interval)
@@ -364,10 +339,8 @@ func (s *Stats) GlobalIPCSeries() []float64 {
 func (s *Stats) ShaderIPCSeries() [][]float64 {
 	out := make([][]float64, len(s.coreIPC))
 	for c := range s.coreIPC {
-		out[c] = make([]float64, len(s.coreIPC[c]))
-		for i, v := range s.coreIPC[c] {
-			out[c][i] = float64(v) / float64(s.interval)
-		}
+		out[c] = make([]float64, s.coreIPC[c].n)
+		s.coreIPC[c].addTo(out[c], float64(s.interval))
 	}
 	return out
 }
@@ -375,36 +348,28 @@ func (s *Stats) ShaderIPCSeries() [][]float64 {
 // WarpIssueBreakdown returns the warp plot series: first the W0 stall
 // categories, then W1..W32 (issued warps by active lane count), per
 // bucket, as fractions of issue slots.
-func (s *Stats) WarpIssueBreakdown() (names []string, series [][]float64) {
-	n := 0
+func (s *Stats) WarpIssueBreakdown() (names []string, rows [][]float64) {
+	var n uint64
 	for _, st := range s.stalls {
-		if len(st) > n {
-			n = len(st)
-		}
+		n = max(n, st.n)
 	}
 	for _, lc := range s.laneCount {
-		if len(lc) > n {
-			n = len(lc)
-		}
+		n = max(n, lc.n)
 	}
 	slotsPerBucket := float64(s.interval) * float64(s.numSMs*s.scheds)
 	for k := stallKind(0); k < numStallKinds; k++ {
 		names = append(names, StallNames[k])
 		row := make([]float64, n)
-		for i, v := range s.stalls[k] {
-			row[i] = float64(v) / slotsPerBucket
-		}
-		series = append(series, row)
+		s.stalls[k].addTo(row, slotsPerBucket)
+		rows = append(rows, row)
 	}
 	for lanes := 1; lanes <= 32; lanes++ {
 		names = append(names, wName(lanes))
 		row := make([]float64, n)
-		for i, v := range s.laneCount[lanes-1] {
-			row[i] = float64(v) / slotsPerBucket
-		}
-		series = append(series, row)
+		s.laneCount[lanes-1].addTo(row, slotsPerBucket)
+		rows = append(rows, row)
 	}
-	return names, series
+	return names, rows
 }
 
 func wName(lanes int) string {

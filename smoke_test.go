@@ -107,6 +107,22 @@ func TestMainPackagesSmoke(t *testing.T) {
 		}
 	})
 
+	t.Run("gpgpusim_profiles", func(t *testing.T) {
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+		out := runBinary(t, filepath.Join(bin, "gpgpusim"), "-perf", "-cpuprofile", cpu, "-memprofile", mem,
+			"-args", "buf256,buf256,f2,i256", "-grid", "2", "-block", "128", ptxFile)
+		if !strings.Contains(out, "performance mode") {
+			t.Fatalf("unexpected output:\n%s", out)
+		}
+		for _, f := range []string{cpu, mem} {
+			cmd := exec.Command("go", "tool", "pprof", "-raw", filepath.Join(bin, "gpgpusim"), f)
+			if raw, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("pprof cannot read %s: %v\n%s", filepath.Base(f), err, raw)
+			}
+		}
+	})
+
 	t.Run("gpgpusim_perf_streams", func(t *testing.T) {
 		out := runBinary(t, filepath.Join(bin, "gpgpusim"),
 			"-perf", "-streams", "2", "-j", "2",
