@@ -10,16 +10,28 @@ import (
 // and round-robin pointer. The candidate list is maintained incrementally
 // as CTAs arrive and retire instead of being re-gathered (and reallocated)
 // every cycle.
+//
+// A scheduler that issued nothing sleeps until wake (see stageIssue). Its
+// stall class cannot change before then, so the slots it leaves empty
+// form one run of class stall from stallFrom, charged to the stats when
+// the run ends, at each sample-bucket boundary, and before a clock jump
+// or a shard merge.
 type schedState struct {
 	cands []*warpCtx
 	rr    int
+
+	wake      uint64 // first cycle the scheduler must be scanned again
+	stalled   bool   // a stall run is pending
+	stall     stallKind
+	stallFrom uint64 // first cycle of the pending run not yet charged
 }
 
 type ctaSlot struct {
-	cta   *exec.CTA
-	run   *gridRun // resident grid this CTA belongs to
-	warps []*warpCtx
-	done  bool
+	cta     *exec.CTA
+	run     *gridRun // resident grid this CTA belongs to
+	warps   []*warpCtx
+	done    bool
+	stepped bool // a warp stepped, or the CTA arrived, since the last barrier/retire check
 }
 
 // smCore is one streaming multiprocessor. All of its fields are owned by
@@ -52,6 +64,16 @@ type smCore struct {
 	// per-kernel stats stay attributable while several grids share the
 	// core; sized by the engine at the start of every drain.
 	runInstrs []uint64
+
+	// Event-driven issue state. wakeAt is the earliest scheduler wake;
+	// while the clock is below it the whole core sleeps. tickedTo is one
+	// past the last cycle stageIssue ran, the end of every pending stall
+	// run; bucketEnd is the first cycle after that cycle's sample bucket.
+	// stepped records that some slot has its stepped flag set.
+	wakeAt    uint64
+	tickedTo  uint64
+	bucketEnd uint64
+	stepped   bool
 
 	// per-cycle outputs, read by the coordinator between phase barriers
 	issuedAny    bool
@@ -90,7 +112,11 @@ func (c *smCore) addCTA(slot *ctaSlot) {
 	for wi, w := range slot.warps {
 		sc := &c.scheds[wi%len(c.scheds)]
 		sc.cands = append(sc.cands, w)
+		sc.wake = 0
 	}
+	c.wakeAt = 0
+	slot.stepped = true
+	c.stepped = true
 }
 
 // removeCTA compacts the retired CTA's warps out of every scheduler's
@@ -153,26 +179,74 @@ func (c *smCore) releaseBatchRefs() {
 // core-owned state (plus the functional machine, which is safe for
 // concurrent per-core stepping). Memory-system traffic and atomics are
 // queued for the ordered phases that follow.
+//
+// The stage is event-driven. A scheduler that issues nothing sleeps until
+// its wake cycle, the earliest cycle one of its warps leaves a memory or
+// data stall; idle and barrier-only schedulers sleep with no wake. Until
+// then each of its warps would be classified exactly as now, so the scan
+// is skipped and its empty slots are charged later as a run. Only two
+// events wake a scheduler early: addCTA gives it warps, or a barrier
+// release frees warps it holds. Retirement removes only Done warps and
+// wakes nobody. A core whose schedulers all sleep does no scan at all.
 func (c *smCore) stageIssue(m *exec.Machine, now uint64) {
 	c.issuedAny = false
-	c.nextAt = ^uint64(0)
 	c.retiredSlots = c.retiredSlots[:0]
 	c.err = nil
 	c.errRunID = -1
 	c.memQ = c.memQ[:0]
 	c.atomQ = c.atomQ[:0]
-
-	for sched := range c.scheds {
-		c.stepScheduler(m, sched, now)
-		if c.err != nil {
-			return
+	if now >= c.bucketEnd {
+		// keep every stall run inside one sample bucket, so the series
+		// grow in bucket order
+		c.chargeStalls()
+		c.bucketEnd = ^uint64(0)
+		if iv := c.stats.interval; iv > 0 {
+			c.bucketEnd = (now/iv + 1) * iv
 		}
 	}
+	c.tickedTo = now + 1
 
-	// retire finished CTAs, release barriers
+	if now >= c.wakeAt {
+		c.wakeAt = ^uint64(0)
+		for sched := range c.scheds {
+			st := &c.scheds[sched]
+			if now >= st.wake {
+				c.stepScheduler(m, st, now)
+				if c.err != nil {
+					// the schedulers after a faulting one are not
+					// scanned this cycle, so their runs end before it
+					for k := sched + 1; k < len(c.scheds); k++ {
+						c.endStall(&c.scheds[k], now)
+					}
+					return
+				}
+			}
+			c.wakeAt = min(c.wakeAt, st.wake)
+		}
+	}
+	// When nothing issued, every scheduler's wake is its earliest warp
+	// wakeup; barrier releases below never count towards it.
+	c.nextAt = c.wakeAt
+
+	// Release barriers and retire finished CTAs. Only a step changes a
+	// warp's barrier or done state, so only CTAs that stepped (or
+	// arrived) since the last check are looked at.
+	if !c.stepped {
+		return
+	}
+	c.stepped = false
 	for si := 0; si < len(c.slots); si++ {
 		s := c.slots[si]
-		s.cta.ReleaseBarrier()
+		if !s.stepped {
+			continue
+		}
+		s.stepped = false
+		if s.cta.ReleaseBarrier() {
+			for wi := 0; wi < len(s.warps) && wi < len(c.scheds); wi++ {
+				c.scheds[wi].wake = 0
+			}
+			c.wakeAt = 0
+		}
 		if !s.done && s.cta.Done() {
 			s.done = true
 			c.retiredSlots = append(c.retiredSlots, s)
@@ -187,19 +261,20 @@ func (c *smCore) stageIssue(m *exec.Machine, now uint64) {
 	}
 }
 
-func (c *smCore) stepScheduler(m *exec.Machine, sched int, now uint64) {
-	st := &c.scheds[sched]
+// stepScheduler scans one awake scheduler's warps from its round-robin
+// pointer and issues the first ready one. If none is ready it records
+// the stall class and goes to sleep until the earliest warp wakeup.
+func (c *smCore) stepScheduler(m *exec.Machine, st *schedState, now uint64) {
 	cands := st.cands
-	if len(cands) == 0 {
-		c.stats.noteStall(c.id, now, stallIdle)
-		return
-	}
-	issued := false
+	wake := ^uint64(0)
 	live := 0
 	sawData, sawBarrier, sawMem := false, false, false
-	start := st.rr
-	for k := 0; k < len(cands); k++ {
-		w := cands[(start+k)%len(cands)]
+	i := st.rr
+	for range cands {
+		w := cands[i]
+		if i++; i == len(cands) {
+			i = 0
+		}
 		if w.warp.Done {
 			continue
 		}
@@ -210,65 +285,118 @@ func (c *smCore) stepScheduler(m *exec.Machine, sched int, now uint64) {
 		}
 		if w.minIssueAt > now {
 			sawMem = true
-			if w.minIssueAt < c.nextAt {
-				c.nextAt = w.minIssueAt
-			}
+			wake = min(wake, w.minIssueAt)
+			continue
+		}
+		if w.srcReadyAt > now {
+			sawData = true
+			wake = min(wake, w.srcReadyAt)
 			continue
 		}
 		in := m.PeekWarp(w.cta, w.warp)
 		if in == nil {
 			// will retire on next step; issue it to make progress
+			c.markStep(w)
 			if err := m.StepWarpCov(w.cta, w.warp, c.cov, &c.info); err != nil {
-				c.err = err
-				c.errRunID = w.runID
+				c.fail(st, w, now, err)
 				return
 			}
-			issued = true
-			st.rr = (start + k + 1) % len(cands)
-			break
-		}
-		if rdy, at := w.srcReady(in, now); !rdy {
+		} else if rdy, at := w.srcReady(in, now); !rdy {
+			w.srcReadyAt = at
 			sawData = true
-			if at < c.nextAt {
-				c.nextAt = at
-			}
+			wake = min(wake, at)
 			continue
-		}
-		if in.Op == ptx.OpAtom {
+		} else if in.Op == ptx.OpAtom {
 			// Atomics read-modify-write memory that other cores may touch
 			// in the same cycle. Defer both the functional execution and
 			// the timing to the coordinator's sequential drain so the
 			// interleaving is identical for every worker count.
 			c.atomQ = append(c.atomQ, w)
-			issued = true
-			st.rr = (start + k + 1) % len(cands)
-			break
-		}
-		if err := c.issue(m, w, now); err != nil {
-			c.err = err
-			c.errRunID = w.runID
+		} else if err := c.issue(m, w, now); err != nil {
+			c.fail(st, w, now, err)
 			return
 		}
-		issued = true
-		st.rr = (start + k + 1) % len(cands)
-		break
-	}
-	if issued {
+		st.rr = i
 		c.issuedAny = true
+		c.endStall(st, now)
+		st.wake = now + 1
 		return
 	}
+	k := stallIdle
 	switch {
 	case live == 0:
-		c.stats.noteStall(c.id, now, stallIdle)
 	case sawBarrier:
-		c.stats.noteStall(c.id, now, stallBarrier)
+		k = stallBarrier
 	case sawData:
-		c.stats.noteStall(c.id, now, stallData)
+		k = stallData
 	case sawMem:
-		c.stats.noteStall(c.id, now, stallMem)
-	default:
-		c.stats.noteStall(c.id, now, stallIdle)
+		k = stallMem
 	}
+	if !st.stalled || st.stall != k {
+		c.endStall(st, now)
+		st.stalled, st.stall, st.stallFrom = true, k, now
+	}
+	st.wake = wake
+}
+
+// fail records a step error; the faulting scheduler's slot this cycle is
+// not charged.
+func (c *smCore) fail(st *schedState, w *warpCtx, now uint64, err error) {
+	c.err = err
+	c.errRunID = w.runID
+	c.endStall(st, now)
+}
+
+// markStep flags w's CTA for the next barrier/retire check.
+func (c *smCore) markStep(w *warpCtx) {
+	w.slot.stepped = true
+	c.stepped = true
+}
+
+// endStall charges a scheduler's pending stall run up to cycle end and
+// closes it.
+func (c *smCore) endStall(st *schedState, end uint64) {
+	if st.stalled && end > st.stallFrom {
+		c.stats.noteStalls(st.stall, st.stallFrom, end)
+	}
+	st.stalled = false
+}
+
+// chargeStalls charges every pending stall run up to the last ticked
+// cycle; the runs stay open.
+func (c *smCore) chargeStalls() {
+	for i := range c.scheds {
+		st := &c.scheds[i]
+		if st.stalled && c.tickedTo > st.stallFrom {
+			c.stats.noteStalls(st.stall, st.stallFrom, c.tickedTo)
+			st.stallFrom = c.tickedTo
+		}
+	}
+}
+
+// skipStalls moves every pending stall run past a clock jump to cycle
+// to. The drain loop charges the jumped cycles to every slot itself
+// (Stats.addIdleBulk), so the runs must not.
+func (c *smCore) skipStalls(to uint64) {
+	c.chargeStalls()
+	for i := range c.scheds {
+		if st := &c.scheds[i]; st.stalled {
+			st.stallFrom = to
+		}
+	}
+}
+
+// settleIssue closes every stall run and flushes the pending issue
+// counts, so the shard is complete before it merges, and wakes every
+// scheduler for the next batch.
+func (c *smCore) settleIssue() {
+	for i := range c.scheds {
+		st := &c.scheds[i]
+		c.endStall(st, c.tickedTo)
+		st.wake = 0
+	}
+	c.wakeAt = 0
+	c.stats.flushIssued()
 }
 
 // issue executes one warp instruction functionally and models its timing.
@@ -277,6 +405,7 @@ func (c *smCore) stepScheduler(m *exec.Machine, sched int, now uint64) {
 func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	e := c.eng
 	info := &c.info
+	c.markStep(w)
 	if err := m.StepWarpCov(w.cta, w.warp, c.cov, info); err != nil {
 		return err
 	}
@@ -292,9 +421,7 @@ func (c *smCore) issue(m *exec.Machine, w *warpCtx, now uint64) error {
 	in := info.Inst
 
 	if !info.IsMem {
-		lat, sfu := latencyClass(&e.cfg, in)
-		_ = sfu
-		w.markDst(in, now+uint64(lat))
+		w.markDst(in, now+uint64(latencyClass(&e.cfg, in)))
 		return nil
 	}
 

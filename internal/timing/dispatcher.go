@@ -132,7 +132,7 @@ func (d *dispatcher) fill(cfg *Config, cores []*smCore) {
 				slot := &ctaSlot{cta: cta, run: r}
 				for _, w := range cta.Warps {
 					slot.warps = append(slot.warps, &warpCtx{
-						cta: cta, warp: w, runID: r.id,
+						cta: cta, slot: slot, warp: w, runID: r.id,
 						regReady: make([]uint64, r.grid.Kernel.NumSlots),
 					})
 				}

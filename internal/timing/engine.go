@@ -509,6 +509,7 @@ func (e *Engine) drain(workers int) error {
 				return e.abortBatch(m, fmt.Errorf("timing: drain stalled with pending work"), -1)
 			}
 			if wake > e.cycle {
+				e.skipStalls(wake)
 				e.stats.addIdleBulk(e.cycle, wake-e.cycle, e.cfg)
 				e.stats.FastForwardedCycles += wake - e.cycle
 				e.cycle = wake
@@ -625,6 +626,7 @@ func (e *Engine) drain(workers int) error {
 				}
 			} else if wake > e.cycle {
 				skip := wake - e.cycle
+				e.skipStalls(wake)
 				e.stats.addIdleBulk(e.cycle, skip, e.cfg)
 				e.stats.FastForwardedCycles += skip
 				e.cycle = wake
@@ -887,11 +889,20 @@ func (e *Engine) abortBatch(m *exec.Machine, cause error, runID int) error {
 	return err
 }
 
+// skipStalls moves the cores' pending stall runs past a clock jump to
+// cycle to.
+func (e *Engine) skipStalls(to uint64) {
+	for _, c := range e.cores {
+		c.skipStalls(to)
+	}
+}
+
 // mergeShards folds the per-core and per-partition statistic shards (and
 // the per-core functional coverage shards) into the engine-wide
 // accumulators at a batch boundary.
 func (e *Engine) mergeShards(m *exec.Machine) {
 	for _, c := range e.cores {
+		c.settleIssue()
 		e.stats.merge(c.stats)
 		c.stats.reset()
 		if m != nil {

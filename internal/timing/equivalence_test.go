@@ -9,23 +9,27 @@ import (
 
 	"repro/internal/cudart"
 	"repro/internal/exec"
+	"repro/internal/ptx"
 )
 
-// This file locks the active-set scheduler (schedule.go) to the drain
-// semantics it replaced. drainLegacyForTest is the pre-rewrite drain
-// loop, kept verbatim as the reference implementation: it re-scans the
-// whole submission queue every simulated cycle (copy completion,
-// admission, copy-wake), which is O(|queue|) per cycle but trivially
-// correct with respect to the stream-ordered submission contract.
-// TestDrainEquivalence runs randomized kernel/copy mixes through both
-// loops and demands byte-identical cycles, per-ticket stats, engine
-// counters and final device memory.
+// This file locks the active-set scheduler (schedule.go) and the
+// event-driven issue stage (core.go) to the semantics they replaced.
+// drainLegacyForTest is the pre-rewrite drain loop, kept verbatim as the
+// reference implementation: it re-scans the whole submission queue every
+// simulated cycle (copy completion, admission, copy-wake), which is
+// O(|queue|) per cycle but trivially correct with respect to the
+// stream-ordered submission contract, and it runs the full-scan issue
+// stage (stageIssueLegacyForTest), which re-scans every scheduler every
+// cycle. TestDrainEquivalence runs randomized kernel/copy mixes through
+// both loops and demands byte-identical cycles, per-ticket stats, engine
+// counters and final device memory; TestIssueStageStallIdentity does the
+// same for whole library workloads (stall_identity_test.go).
 
-// drainLegacyForTest is the old Engine.drain. Apart from the three
-// deliberate deviations flagged inline (stream linking inlined, the
-// fast-forward observability counter, and forcing the dispatcher dirty
-// flag so the reference keeps its original every-cycle unconditional
-// fill), the body is the pre-active-set code unchanged.
+// drainLegacyForTest is the old Engine.drain. Apart from the deliberate
+// deviations flagged inline (stream linking inlined, the fast-forward
+// observability counter, forcing the dispatcher dirty flag so the
+// reference keeps its original every-cycle unconditional fill, and the
+// full-scan issue stage), the body is the pre-active-set code unchanged.
 func (e *Engine) drainLegacyForTest(workers int) error {
 	if len(e.queue) == 0 {
 		return nil
@@ -158,8 +162,9 @@ func (e *Engine) drainLegacyForTest(workers int) error {
 		}
 		now := e.cycle
 
-		// Phase 1: parallel issue stage.
-		p.run(nCores, func(i int) { e.cores[i].stageIssue(m, now) })
+		// Phase 1: parallel issue stage. deviation: the full-scan issue
+		// stage, so the differential also locks the event-driven one.
+		p.run(nCores, func(i int) { e.cores[i].stageIssueLegacyForTest(m, now) })
 
 		anyIssued := false
 		anyMem := false
@@ -243,6 +248,140 @@ func (e *Engine) drainLegacyForTest(workers int) error {
 	e.mergeShards(m)
 	e.releaseQueue()
 	return nil
+}
+
+// stageIssueLegacyForTest is the full-scan issue stage the event-driven
+// smCore.stageIssue replaced, kept verbatim: every scheduler re-scans
+// its warps every cycle and charges its empty slot one cycle at a time,
+// and every resident CTA gets a barrier/retire check every cycle.
+func (c *smCore) stageIssueLegacyForTest(m *exec.Machine, now uint64) {
+	c.issuedAny = false
+	c.nextAt = ^uint64(0)
+	c.retiredSlots = c.retiredSlots[:0]
+	c.err = nil
+	c.errRunID = -1
+	c.memQ = c.memQ[:0]
+	c.atomQ = c.atomQ[:0]
+
+	for sched := range c.scheds {
+		c.stepSchedulerLegacyForTest(m, sched, now)
+		if c.err != nil {
+			return
+		}
+	}
+
+	// retire finished CTAs, release barriers
+	for si := 0; si < len(c.slots); si++ {
+		s := c.slots[si]
+		s.cta.ReleaseBarrier()
+		if !s.done && s.cta.Done() {
+			s.done = true
+			c.retiredSlots = append(c.retiredSlots, s)
+			c.warpsUsed -= len(s.warps)
+			if s.run != nil {
+				c.smemUsed -= s.run.smemPerCTA
+			}
+			c.slots = append(c.slots[:si], c.slots[si+1:]...)
+			si--
+			c.removeCTA(s)
+		}
+	}
+}
+
+func (c *smCore) stepSchedulerLegacyForTest(m *exec.Machine, sched int, now uint64) {
+	st := &c.scheds[sched]
+	cands := st.cands
+	if len(cands) == 0 {
+		c.stats.noteStall(c.id, now, stallIdle)
+		return
+	}
+	issued := false
+	live := 0
+	sawData, sawBarrier, sawMem := false, false, false
+	start := st.rr
+	for k := 0; k < len(cands); k++ {
+		w := cands[(start+k)%len(cands)]
+		if w.warp.Done {
+			continue
+		}
+		live++
+		if w.warp.AtBarrier {
+			sawBarrier = true
+			continue
+		}
+		if w.minIssueAt > now {
+			sawMem = true
+			if w.minIssueAt < c.nextAt {
+				c.nextAt = w.minIssueAt
+			}
+			continue
+		}
+		in := m.PeekWarp(w.cta, w.warp)
+		if in == nil {
+			// will retire on next step; issue it to make progress
+			if err := m.StepWarpCov(w.cta, w.warp, c.cov, &c.info); err != nil {
+				c.err = err
+				c.errRunID = w.runID
+				return
+			}
+			issued = true
+			st.rr = (start + k + 1) % len(cands)
+			break
+		}
+		if rdy, at := w.srcReady(in, now); !rdy {
+			sawData = true
+			if at < c.nextAt {
+				c.nextAt = at
+			}
+			continue
+		}
+		if in.Op == ptx.OpAtom {
+			// Atomics read-modify-write memory that other cores may touch
+			// in the same cycle. Defer both the functional execution and
+			// the timing to the coordinator's sequential drain so the
+			// interleaving is identical for every worker count.
+			c.atomQ = append(c.atomQ, w)
+			issued = true
+			st.rr = (start + k + 1) % len(cands)
+			break
+		}
+		if err := c.issue(m, w, now); err != nil {
+			c.err = err
+			c.errRunID = w.runID
+			return
+		}
+		issued = true
+		st.rr = (start + k + 1) % len(cands)
+		break
+	}
+	if issued {
+		c.issuedAny = true
+		return
+	}
+	switch {
+	case live == 0:
+		c.stats.noteStall(c.id, now, stallIdle)
+	case sawBarrier:
+		c.stats.noteStall(c.id, now, stallBarrier)
+	case sawData:
+		c.stats.noteStall(c.id, now, stallData)
+	case sawMem:
+		c.stats.noteStall(c.id, now, stallMem)
+	default:
+		c.stats.noteStall(c.id, now, stallIdle)
+	}
+}
+
+// noteStall charges one scheduler's empty issue slot at cycle to stall
+// class k, the per-cycle charge the full-scan issue stage makes.
+func (s *Stats) noteStall(core int, cycle uint64, k stallKind) {
+	if k == stallIdle {
+		s.IdleSlotCycles++
+	}
+	if s.interval == 0 {
+		return
+	}
+	s.stalls[k].add(cycle/s.interval-s.base, 1)
 }
 
 // eqPTX is the differential workload kernel: y[i] += x[i]*x[i], with a

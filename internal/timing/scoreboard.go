@@ -14,10 +14,18 @@ import (
 // touched by two workers concurrently.
 type warpCtx struct {
 	cta        *exec.CTA
+	slot       *ctaSlot // resident CTA slot, flagged when the warp steps
 	warp       *exec.Warp
 	runID      int      // dense per-drain id of the owning grid (stat attribution)
 	regReady   []uint64 // scoreboard: per register slot, cycle it becomes readable
 	minIssueAt uint64   // structural stall (atomics, retry delays)
+
+	// srcReadyAt caches the cycle the next instruction's sources become
+	// readable, recorded when the scheduler finds the warp data-stalled.
+	// Only the warp's own steps change its next instruction or its
+	// scoreboard, and it cannot step before srcReadyAt, so the value
+	// stays exact for every cycle before it.
+	srcReadyAt uint64
 }
 
 // srcReady consults the scoreboard for every register in's source slot
@@ -43,20 +51,28 @@ func (w *warpCtx) markDst(in *exec.Inst, ready uint64) {
 	}
 }
 
-func latencyClass(cfg *Config, in *exec.Inst) (lat int, sfu bool) {
-	switch in.Op {
+// isSFU reports whether op runs on the special-function units.
+func isSFU(op ptx.Op) bool {
+	switch op {
 	case ptx.OpSqrt, ptx.OpRsqrt, ptx.OpRcp, ptx.OpLg2, ptx.OpEx2, ptx.OpSin, ptx.OpCos:
-		return cfg.SFULat, true
-	case ptx.OpDiv, ptx.OpRem:
-		if in.T.Float() {
-			return cfg.SFULat, true
-		}
-		return cfg.IntDivLat, true
-	case ptx.OpFma, ptx.OpMad:
-		return cfg.ALULat, false
-	default:
-		return cfg.ALULat, false
+		return true
 	}
+	return false
+}
+
+// latencyClass returns the cycles until an ALU instruction's result is
+// readable.
+func latencyClass(cfg *Config, in *exec.Inst) int {
+	switch {
+	case isSFU(in.Op):
+		return cfg.SFULat
+	case in.Op == ptx.OpDiv || in.Op == ptx.OpRem:
+		if in.T.Float() {
+			return cfg.SFULat
+		}
+		return cfg.IntDivLat
+	}
+	return cfg.ALULat
 }
 
 func popcount(m uint32) int { return bits.OnesCount32(m) }

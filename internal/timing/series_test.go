@@ -2,8 +2,11 @@ package timing
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // denseSeries is the dense representation series replaced: a slice grown
@@ -73,6 +76,58 @@ func TestSeriesMatchesDense(t *testing.T) {
 		}
 		if !slices.IsSorted(acc.bucket) {
 			t.Fatalf("trial %d: buckets out of order", trial)
+		}
+	}
+}
+
+// TestNoteIssueMatchesPerIssueAdds: noteIssue's per-bucket counters,
+// flushed when the bucket changes and before a merge, leave the same
+// series as adding every issue to the series directly. Stall runs
+// charged by noteStalls match per-cycle charges the same way.
+func TestNoteIssueMatchesPerIssueAdds(t *testing.T) {
+	cfg := GTX1050()
+	cfg.SampleInterval = 7
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		got, want := newStats(cfg), newStats(cfg)
+		base := uint64(rng.Intn(40))
+		got.rebase(base)
+		want.rebase(base)
+		core := rng.Intn(cfg.NumSMs)
+		cycle := base
+		info := &exec.StepInfo{}
+		for i := 0; i < 300; i++ {
+			cycle += uint64(rng.Intn(4))
+			if rng.Intn(3) == 0 {
+				k := stallKind(rng.Intn(int(numStallKinds)))
+				end := cycle + uint64(rng.Intn(20))
+				got.noteStalls(k, cycle, end)
+				for c := cycle; c < end; c++ {
+					if k == stallIdle {
+						want.IdleSlotCycles++
+					}
+					want.stalls[k].add(c/want.interval-want.base, 1)
+				}
+				cycle = end
+				continue
+			}
+			lanes := rng.Intn(33)
+			got.noteIssue(core, cycle, info, lanes)
+			want.Instructions++
+			want.ThreadInstrs += uint64(lanes)
+			b := cycle/want.interval - want.base
+			want.coreIPC[core].add(b, 1)
+			if lanes >= 1 {
+				want.laneCount[lanes-1].add(b, 1)
+			}
+		}
+		got.flushIssued()
+		sum := newStats(cfg)
+		sum.merge(got)
+		wantSum := newStats(cfg)
+		wantSum.merge(want)
+		if !reflect.DeepEqual(sum, wantSum) {
+			t.Fatalf("trial %d: merged stats differ:\n%+v\n%+v", trial, sum, wantSum)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package timing
 
-import (
-	"repro/internal/exec"
-	"repro/internal/ptx"
-)
+import "repro/internal/exec"
 
 type stallKind int
 
@@ -44,6 +41,15 @@ func (m *MemCounters) add(o MemCounters) {
 	m.StallCycles += o.StallCycles
 	m.SegCycles += o.SegCycles
 	m.SegServed += o.SegServed
+}
+
+// issueCounts is one bucket's warp-instruction count and active-lane
+// histogram for one core. The bucket spans cycles [from, to).
+type issueCounts struct {
+	from, to uint64
+	core     int
+	ipc      uint32
+	lanes    [32]uint32
 }
 
 // KernelSample records one kernel's timing outcome, including its share
@@ -133,6 +139,11 @@ type Stats struct {
 	laneCount []series // [active lanes 1..32 -> idx 0..31]
 	stalls    [numStallKinds]series
 
+	// issued holds a core shard's issue counts for the bucket being
+	// ticked; flushIssued moves them into coreIPC and laneCount when the
+	// bucket changes and before the shard is merged.
+	issued issueCounts
+
 	// PerKernel holds one sample per retired kernel launch, in retirement
 	// order, each carrying its attributed memory counters.
 	PerKernel []KernelSample
@@ -153,31 +164,58 @@ func (s *Stats) noteIssue(core int, cycle uint64, info *exec.StepInfo, lanes int
 	s.Instructions++
 	s.ThreadInstrs += uint64(lanes)
 	if info.Inst != nil {
-		switch info.Inst.Op {
-		case ptx.OpSqrt, ptx.OpRsqrt, ptx.OpRcp, ptx.OpLg2, ptx.OpEx2, ptx.OpSin, ptx.OpCos:
+		if isSFU(info.Inst.Op) {
 			s.SFUOps += uint64(lanes)
-		default:
+		} else {
 			s.ALUOps += uint64(lanes)
 		}
 	}
 	if s.interval == 0 {
 		return
 	}
-	b := cycle/s.interval - s.base
-	s.coreIPC[core].add(b, 1)
+	a := &s.issued
+	if cycle < a.from || cycle >= a.to || core != a.core {
+		s.flushIssued()
+		a.from = cycle - cycle%s.interval
+		a.to, a.core = a.from+s.interval, core
+	}
+	a.ipc++
 	if lanes >= 1 {
-		s.laneCount[lanes-1].add(b, 1)
+		a.lanes[lanes-1]++
 	}
 }
 
-func (s *Stats) noteStall(core int, cycle uint64, k stallKind) {
+// flushIssued adds the pending bucket's issue counts to the series.
+func (s *Stats) flushIssued() {
+	a := &s.issued
+	if a.ipc == 0 {
+		return
+	}
+	b := a.from/s.interval - s.base
+	s.coreIPC[a.core].add(b, uint64(a.ipc))
+	for i, n := range a.lanes {
+		if n != 0 {
+			s.laneCount[i].add(b, uint64(n))
+		}
+	}
+	a.ipc, a.lanes = 0, [32]uint32{}
+}
+
+// noteStalls charges one scheduler's issue slots over cycles [from, to)
+// to stall class k, as a per-cycle walk would one slot at a time.
+func (s *Stats) noteStalls(k stallKind, from, to uint64) {
 	if k == stallIdle {
-		s.IdleSlotCycles++
+		s.IdleSlotCycles += to - from
 	}
 	if s.interval == 0 {
 		return
 	}
-	s.stalls[k].add(cycle/s.interval-s.base, 1)
+	for c := from; c < to; {
+		b := c / s.interval
+		end := min((b+1)*s.interval, to)
+		s.stalls[k].add(b-s.base, end-c)
+		c = end
+	}
 }
 
 // addIdleBulk charges fast-forwarded cycles to the memory-stall category
